@@ -1,10 +1,11 @@
 """Functional fast-forward warmup for tiered simulation.
 
-The tiered protocol (DESIGN.md, "Tiered simulation") runs the golden
-functional emulator over a program prefix while updating only the
-cheap-to-model microarchitectural state that matters for detailed
-accuracy, then hands the result to a detailed :class:`~.core.Core` so the
-cycle-level window starts hot instead of cold:
+The tiered protocol (DESIGN.md, "Tiered simulation") replays a trace
+prefix's own records — every executed pc, branch outcome and memory
+address is already there — while updating only the cheap-to-model
+microarchitectural state that matters for detailed accuracy, then hands
+the result to a detailed :class:`~.core.Core` so the cycle-level window
+starts hot instead of cold:
 
 * **branch state** — every correct-path control instruction trains the
   direction predictor, BTB, indirect predictor, and RAS through the same
@@ -18,10 +19,13 @@ cycle-level window starts hot instead of cold:
   instruction index as a pseudo-cycle so MSHR merging and DRAM row state
   evolve plausibly; snapshots clear the MSHR file (all fills have
   logically arrived by the window boundary);
-* **architectural state** — registers, FLAGS, and memory from the
-  emulator, installed through the initial RAT so the window's value
-  execution and end-of-window architectural comparison see the prefix's
-  effects.
+* **architectural state** — only with ``config.execute_values``, the
+  one mode that reads it: the golden emulator steps alongside the
+  records (checking it stays on the trace's pc path), and its registers,
+  FLAGS and memory are installed through the initial RAT so the window's
+  value execution and end-of-window architectural comparison see the
+  prefix's effects.  Without value execution the prefix is never
+  emulated and ``WarmupState.arch`` is ``None``.
 
 What is deliberately **not** primed: ROB/queue occupancy, in-flight
 instructions, rename state beyond the architectural mapping, and store
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from ..branch import BranchUnit
 from ..frontend import ArchState, Emulator, Trace
@@ -59,18 +63,20 @@ class WarmupState:
     """
 
     instructions: int  #: prefix length executed before this stop
-    arch: ArchState
+    #: Emulator state at the stop; ``None`` unless the warming config
+    #: executes values (nothing else reads it).
+    arch: Optional[ArchState]
     branch_unit: BranchUnit
     memory: MemoryHierarchy
 
 
 def fast_forward(config: CoreConfig, trace: Trace,
                  stops: Sequence[int]) -> List[WarmupState]:
-    """Emulate *trace*'s program prefix once, snapshotting at *stops*.
+    """Replay *trace*'s prefix records once, snapshotting at *stops*.
 
     Each stop is an instruction count (0 = cold start); stops are
     deduplicated and visited in ascending order, so a multi-window tiered
-    run pays one functional pass regardless of window count.
+    run pays one pass over the records regardless of window count.
     """
     from .stages.fetch import make_predictor
 
@@ -91,24 +97,28 @@ def fast_forward(config: CoreConfig, trace: Trace,
             memory.l1i.fill(addr)
             memory.l2.fill(addr)
 
-    emulator = Emulator(trace.program)
+    # Only value execution reads the architectural state, so only then
+    # does the golden emulator step alongside the trace's records.
+    emulator = Emulator(trace.program) if config.execute_values else None
     model_icache = config.model_icache
     ft_block_bytes = config.ft_block_bytes
     last_fetch_block = -1
     executed = 0
     snapshots: List[WarmupState] = []
     for stop in ordered:
-        while executed < stop:
-            record = emulator.step()
-            if record is None or record.pc != entries[executed].pc:
-                raise RuntimeError(
-                    f"fast-forward diverged from trace at instruction "
-                    f"{executed} (pc {entries[executed].pc})")
+        for seq in range(executed, stop):
+            record = entries[seq]
+            if emulator is not None:
+                golden = emulator.step()
+                if golden is None or golden.pc != record.pc:
+                    raise RuntimeError(
+                        f"fast-forward diverged from trace at instruction "
+                        f"{seq} (pc {record.pc})")
             instr = record.instr
             if model_icache:
                 block = (record.pc * I_BYTES) // ft_block_bytes
                 if block != last_fetch_block:
-                    memory.fetch(executed, record.pc * I_BYTES)
+                    memory.fetch(seq, record.pc * I_BYTES)
                     last_fetch_block = block
                 if record.taken:
                     last_fetch_block = -1
@@ -118,10 +128,10 @@ def fast_forward(config: CoreConfig, trace: Trace,
                                     record.taken, record.next_pc)
             if record.mem_addr is not None:
                 if instr.is_load:
-                    memory.load(executed, record.mem_addr, pc=record.pc)
+                    memory.load(seq, record.mem_addr, pc=record.pc)
                 elif instr.is_store:
-                    memory.store(executed, record.mem_addr, pc=record.pc)
-            executed += 1
+                    memory.store(seq, record.mem_addr, pc=record.pc)
+        executed = stop
         warm_memory = _clone(memory)
         # Pseudo-time ends at the window boundary: every outstanding fill
         # has logically arrived, so the detailed window (which restarts
@@ -129,7 +139,7 @@ def fast_forward(config: CoreConfig, trace: Trace,
         warm_memory._mshr.clear()
         snapshots.append(WarmupState(
             instructions=executed,
-            arch=emulator.snapshot(),
+            arch=emulator.snapshot() if emulator is not None else None,
             branch_unit=_clone(branch_unit),
             memory=warm_memory,
         ))
@@ -140,9 +150,10 @@ def apply_warmup(state, warmup: WarmupState, consume: bool = False) -> None:
     """Install *warmup* into a freshly built ``PipelineState``.
 
     Must run before stages are constructed (stages cache identity-stable
-    references to ``state.branch_unit`` / ``state.memory``).  The
-    architectural registers are primed through the initial RAT mapping,
-    so the window's value execution continues exactly from the prefix.
+    references to ``state.branch_unit`` / ``state.memory``).  Under value
+    execution the architectural registers are primed through the initial
+    RAT mapping, so the window's value execution continues exactly from
+    the prefix; otherwise the value state is left alone.
 
     With ``consume=True`` the warmup's mutable members move into the
     pipeline instead of being cloned — a single-use optimization for
@@ -155,7 +166,13 @@ def apply_warmup(state, warmup: WarmupState, consume: bool = False) -> None:
     else:
         state.branch_unit = _clone(warmup.branch_unit)
         state.memory = _clone(warmup.memory)
+    if not state.config.execute_values:
+        return
     arch = warmup.arch
+    if arch is None:
+        raise ValueError(
+            "warmup carries no architectural state: fast_forward it with "
+            "a config that executes values")
     unit = state.rename_unit
     int_rat = unit.files[RegClass.INT].rat
     vec_rat = unit.files[RegClass.VEC].rat

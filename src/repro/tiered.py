@@ -7,9 +7,10 @@ simulation"):
 
 1. :func:`~repro.workloads.simpoint.pick_simpoints` selects up to
    ``max_windows`` representative intervals of the trace;
-2. one functional fast-forward pass
-   (:func:`~repro.pipeline.warmup.fast_forward`) primes branch/cache/
-   architectural state at every window start;
+2. one fast-forward pass over the trace's own records
+   (:func:`~repro.pipeline.warmup.fast_forward`) primes branch/cache
+   state — and, under value execution, architectural state — at every
+   window start;
 3. each window runs through the detailed core from its warm checkpoint;
 4. whole-run statistics are reconstituted: IPC is the SimPoint-weighted
    mean of per-window IPCs (exactly how the paper aggregates), and every

@@ -2,7 +2,7 @@
 
 Every SPEC CPU 2017 benchmark the paper evaluates is a declarative
 :class:`Workload` entry in the :data:`WORKLOADS` registry: builder, int/fp
-class, probe iteration count, and a list of named **input variants** —
+class, and a list of named **input variants** —
 alternate refs of the same kernel, hand-tuned seed parameterizations that
 change the embedded data (hash contents, branch patterns, pointer chains)
 without changing program structure, so lint findings and the static
@@ -15,6 +15,13 @@ are cached per (qualified name, length) within a process, bounded LRU, so
 experiment sweeps that re-simulate the same workload under many
 configurations only emulate it once and long sweeps cannot grow memory
 without limit.
+
+Building a trace of *n* instructions is one kernel build and one
+emulator pass of exactly *n* records.  Builders take ``iterations`` as
+the outer loop's trip count, held in ``r1`` and read only by the loop's
+own counter update, test and back-edge; since every iteration executes
+at least those three instructions, *n* iterations always outlast *n*
+records, and the records do not depend on the count chosen.
 
 Out-of-tree workloads plug in via the registry's discovery hook (see
 :mod:`repro.registry`): register a :class:`Workload` under a new name
@@ -46,7 +53,7 @@ class WorkloadVariant:
     ``seed`` reshaping the embedded data); ``builder`` overrides the
     workload's builder entirely (e.g. a synthesizer-profile closure).
     ``iterations`` never appears in ``params`` — trace construction owns
-    the iteration count and scales it to the requested dynamic length.
+    the iteration count and sets it to the requested dynamic length.
     """
 
     name: str
@@ -68,7 +75,6 @@ class Workload:
     name: str
     builder: Callable[..., Program]
     cls: str  #: "int" | "fp" | anything else (plugins; counts as non-fp)
-    probe_iterations: int = 4
     variants: Tuple[WorkloadVariant, ...] = ()
 
     def variant(self, name: Optional[str]) -> Optional[WorkloadVariant]:
@@ -251,34 +257,26 @@ def _trace_cache_max() -> int:
 
 
 def build_trace(name: str, instructions: int = 20_000, use_cache: bool = True) -> Trace:
-    """A dynamic trace of roughly *instructions* instructions.
+    """A dynamic trace of exactly *instructions* instructions.
 
-    The kernel's outer iteration count is scaled from a small probe run;
-    the trace is truncated at exactly *instructions* if the scaled run
-    overshoots (the simulator does not require a trailing HALT).
+    The kernel is built once, with its outer loop set to *instructions*
+    iterations, and emulated for exactly *instructions* records.  Every
+    outer iteration executes at least its counter update, test and
+    back-edge, so the loop exit lies beyond the kept records and the
+    trace never ends in a trailing HALT.
     """
+    if instructions < 1:
+        raise ValueError(
+            f"trace length must be a positive instruction count, "
+            f"got {instructions}")
     name = resolve(name)
     key = (name, instructions)
     if use_cache and key in _trace_cache:
         _trace_cache.move_to_end(key)
         return _trace_cache[key]
     entry, variant = workload_for(name)
-
-    probe_iters = max(1, entry.probe_iterations)
-    probe = Emulator(entry.build(probe_iters, variant=variant)) \
-        .run(max_instructions=instructions)
-    per_iter = max(1, len(probe) // probe_iters)
-    need_iters = max(probe_iters, (instructions // per_iter) + 2)
-    # Some kernels terminate on data-dependent conditions rather than the
-    # iteration count alone; keep doubling until the trace is long enough.
-    trace = None
-    for _ in range(8):
-        program = entry.build(need_iters, variant=variant)
-        trace = Emulator(program).run(max_instructions=instructions)
-        if len(trace) >= instructions or not trace.entries[-1].instr.is_halt:
-            break
-        need_iters *= 2
-    trace.entries = trace.entries[:instructions]
+    program = entry.build(instructions, variant=variant)
+    trace = Emulator(program).run(max_instructions=instructions)
     trace.name = name
     if use_cache:
         _trace_cache[key] = trace

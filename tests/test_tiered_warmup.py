@@ -8,6 +8,7 @@ register value, skipped a store, or diverged from the trace, the
 detailed window's value execution would expose it here.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -115,6 +116,36 @@ def test_tiered_ipc_tracks_detailed_reference():
     assert stats.ipc == pytest.approx(detailed.ipc, rel=0.25)
 
 
+def test_warmup_without_values_skips_arch():
+    """Only value execution reads the architectural state, so without it
+    the prefix is replayed from the records alone."""
+    trace = build_trace("505.mcf_r", 1200)
+    config = dataclasses.replace(fast_test_config(rf_size=64),
+                                 execute_values=False)
+    warm = fast_forward(config, trace, [600])[0]
+    assert warm.instructions == 600
+    assert warm.arch is None
+    # A value-executing core cannot start from a state with no values.
+    with pytest.raises(ValueError, match="architectural state"):
+        Core(fast_test_config(rf_size=64), trace, warmup=warm)
+
+
+@pytest.mark.parametrize("kernel",
+                         ["505.mcf_r", "503.bwaves_r", "531.deepsjeng_r"])
+def test_tiered_timing_independent_of_value_execution(kernel):
+    """Skipping the architectural warmup moves no timing: tiered runs
+    with and without value execution simulate identical statistics."""
+    trace = build_trace(kernel, 4000)
+    config = fast_test_config(rf_size=64, scheme="atr")
+    runs = [run_tiered(dataclasses.replace(config, execute_values=values),
+                       trace, interval=1000, max_windows=3)
+            for values in (True, False)]
+    (on_stats, on_scheme, on_info), (off_stats, off_scheme, off_info) = runs
+    assert off_stats.to_dict() == on_stats.to_dict()
+    assert off_scheme.to_dict() == on_scheme.to_dict()
+    assert off_info == on_info
+
+
 def test_tier_policy_spec_roundtrip_and_identity():
     tiered = CellSpec("505.mcf_r", 64, "atr", 4000,
                       tier=TierPolicy(mode="tiered"))
@@ -142,6 +173,14 @@ def test_tiered_cell_through_harness():
     decoded = decode_cell_result(encode_cell_result(result))
     assert decoded.tier_info == result.tier_info
     assert decoded.stats.to_dict() == result.stats.to_dict()
+
+
+@pytest.mark.parametrize("tier", [TierPolicy(), TierPolicy(mode="tiered")])
+@pytest.mark.parametrize("instructions", [0, -3])
+def test_cell_rejects_non_positive_length(instructions, tier):
+    spec = CellSpec("505.mcf_r", 128, "atr", instructions, tier=tier)
+    with pytest.raises(ValueError, match=str(instructions)):
+        simulate_cell(spec)
 
 
 def test_tiered_rejects_register_event_recording():

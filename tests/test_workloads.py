@@ -19,6 +19,7 @@ from repro.workloads import (
     slice_trace,
     synthesize,
     weighted_mean,
+    workload_names,
 )
 
 import numpy as np
@@ -175,6 +176,32 @@ class TestTraceCache:
         assert build_trace("mcf", 1000) is mcf
         assert ("557.xz_r", 1000) not in _trace_cache
         clear_trace_cache()
+
+
+def _records(entries):
+    return [(e.pc, e.next_pc, e.taken, e.mem_addr) for e in entries]
+
+
+class TestTraceSizing:
+    """``build_trace`` sizes the kernel with one build at n iterations.
+
+    That is sound only while the outer iteration count is nothing but a
+    loop bound: then the first n records are the same at any larger
+    count, here 4n.
+    """
+
+    @pytest.mark.parametrize("n", (257, 1500))
+    @pytest.mark.parametrize("name", workload_names())
+    def test_records_independent_of_iteration_count(self, name, n):
+        trace = build_trace(name, n, use_cache=False)
+        longer = run_program(builder_for(name)(4 * n), max_instructions=n)
+        assert len(trace) == n
+        assert _records(trace.entries) == _records(longer.entries)
+
+    @pytest.mark.parametrize("n", (0, -3))
+    def test_rejects_non_positive_length(self, n):
+        with pytest.raises(ValueError, match=str(n)):
+            build_trace("mcf", n)
 
 
 class TestSynthesis:
