@@ -12,6 +12,8 @@ regressions show up as numbers rather than vibes:
   protocol (fast-forward warmup + SimPoint-weighted detailed windows;
   see ``repro.tiered``).  Throughput counts *represented* instructions:
   the point of the tier is that most of them never enter the cycle core.
+  Value execution is off, as in every harness cell, so warmup replays
+  the trace's records instead of stepping the emulator through them.
 
 Timing is best-of-N wall time per cell (per-process best, not mean, to
 shave scheduler noise); probes stay off — the zero-cost-when-off path is
@@ -99,6 +101,7 @@ def bench_core(instructions: int = DEFAULT_INSTRUCTIONS,
         tiered_trace = build_trace(benchmark, tiered_instructions)
         for scheme in BENCH_SCHEMES:
             config = golden_cove_config(rf_size=rf_size, scheme=scheme)
+            tiered_config = replace(config, execute_values=False)
 
             best = None
             cycles = committed = 0
@@ -132,7 +135,7 @@ def bench_core(instructions: int = DEFAULT_INSTRUCTIONS,
             for _ in range(repeats):
                 start = time.perf_counter()
                 stats, _scheme_stats, tier_info = run_tiered(
-                    config, tiered_trace,
+                    tiered_config, tiered_trace,
                     interval=TIER_INTERVAL, max_windows=TIER_WINDOWS)
                 elapsed = time.perf_counter() - start
                 if best_t is None or elapsed < best_t:
@@ -155,7 +158,7 @@ def bench_core(instructions: int = DEFAULT_INSTRUCTIONS,
                       f"{tiered_cell['instr_per_sec']:.1f} instr/s")
             if profile:
                 _profile_cell(
-                    lambda: run_tiered(config, tiered_trace,
+                    lambda: run_tiered(tiered_config, tiered_trace,
                                        interval=TIER_INTERVAL,
                                        max_windows=TIER_WINDOWS),
                     f"{benchmark}/{scheme} tiered n={tiered_instructions}")
@@ -180,6 +183,7 @@ def bench_core(instructions: int = DEFAULT_INSTRUCTIONS,
             "tiered_instructions": tiered_instructions,
             "tier_interval": TIER_INTERVAL,
             "tier_windows": TIER_WINDOWS,
+            "tiered_execute_values": False,
             "rf_size": rf_size,
             "repeats": repeats,
             "benchmarks": list(BENCH_BENCHMARKS),
@@ -341,11 +345,11 @@ def run_bench_cli(quick: bool = False, output: Optional[str] = "BENCH_core.json"
                   history: Optional[str] = "BENCH_history.json") -> int:
     """CLI entry: run, print, persist (latest + trajectory)."""
     if quick:
-        n = instructions or 4_000
+        n = instructions if instructions is not None else 4_000
         tiered_n = 30_000
         reps = repeats or 1
     else:
-        n = instructions or DEFAULT_INSTRUCTIONS
+        n = instructions if instructions is not None else DEFAULT_INSTRUCTIONS
         tiered_n = DEFAULT_TIERED_INSTRUCTIONS
         reps = repeats or DEFAULT_REPEATS
 

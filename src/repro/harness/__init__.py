@@ -15,6 +15,8 @@ execution a first-class subsystem:
   on simulator edits.
 * **scheduler** (:mod:`.scheduler`): shards cold specs over forked
   workers (``--jobs N``), per-cell timeout + one retry, serial fallback.
+* **cache management** (:mod:`.cachectl`): LRU/age eviction and the
+  hit/miss/put/eviction accounting behind ``repro cache info|gc``.
 * **progress** (:mod:`.progress`): live narration + end-of-sweep summary.
 * **sweep** (:mod:`.sweep`): the one call sites use — dedup, warm-cache
   lookup, schedule, persist.
@@ -28,7 +30,7 @@ from .jobs import (
     simulate_cell,
 )
 from .progress import SweepProgress
-from .scheduler import CellFailure, default_timeout, resolve_jobs, run_specs
+from .scheduler import CellFailure, resolve_jobs, run_specs
 from .serialize import (
     decode_cell_result,
     decode_result,
@@ -57,9 +59,7 @@ from .sweep import (
     SweepError,
     SweepReport,
     get_default_progress,
-    get_remote_resolver,
     set_default_progress,
-    set_remote_resolver,
     sweep,
 )
 
@@ -71,9 +71,8 @@ __all__ = [
     "encode_result", "decode_result", "encode_cell_result", "decode_cell_result",
     "ResultStore", "default_store", "cache_root", "code_fingerprint",
     "fingerprint_sources",
-    "CellFailure", "run_specs", "resolve_jobs", "default_timeout",
+    "CellFailure", "run_specs", "resolve_jobs",
     "SweepProgress",
     "sweep", "SweepReport", "SweepError",
     "set_default_progress", "get_default_progress",
-    "set_remote_resolver", "get_remote_resolver",
 ]

@@ -21,9 +21,8 @@ default store entirely.
 Accounting happens at two levels: per-instance session counters
 (``hits``/``misses``/``puts``) and lifetime counters persisted in
 ``stats.json`` under an ``fcntl`` file lock, so every process writing
-through one root — sweep clients, service workers, the server — adds up
-to one coherent total (the service's dedup proof reads the lifetime
-``puts`` counter).
+through one root — concurrent sweeps, ``repro cache gc`` — adds up to
+one coherent total.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ def fingerprint_sources(package_dir: Optional[Path] = None) -> List[Path]:
     """Every source file the code fingerprint covers, sorted.
 
     Walks the package tree rather than a hard-coded module list, so a
-    new subpackage (``repro.service``, …) can never be silently missing
+    new subpackage (``repro.staticcheck``, …) can never be silently missing
     from the fingerprint; ``tests/test_harness_store.py`` asserts every
     subpackage is represented.
     """
@@ -131,10 +130,6 @@ class ResultStore:
 
     def path_for(self, spec: Spec) -> Path:
         return self.generation_dir / f"{spec.kind}-{spec_digest(spec)[:16]}.json"
-
-    def contains(self, spec: Spec) -> bool:
-        """Cheap presence probe (no decode, no counter update)."""
-        return self.path_for(spec).is_file()
 
     # -- lifetime counters -------------------------------------------------------
     @property

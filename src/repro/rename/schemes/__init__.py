@@ -2,8 +2,8 @@
 
 The scheme catalog is the :data:`SCHEMES` registry: each entry is a
 factory ``(redefine_delay, debug_checks) -> ReleaseScheme``.  Every
-layer that needs the list of schemes — CLI ``choices=``, sweep grids,
-the service's job submission, ``repro list schemes`` — derives it from
+layer that needs the list of schemes — CLI ``choices=``, sweep and
+validate grids, ``repro list schemes`` — derives it from
 here, so registering a new scheme (in-tree or through the plugin hook,
 see :mod:`repro.registry`) is one declaration, not four edits.
 """

@@ -26,7 +26,7 @@ records, and the records do not depend on the count chosen.
 Out-of-tree workloads plug in via the registry's discovery hook (see
 :mod:`repro.registry`): register a :class:`Workload` under a new name
 from a ``REPRO_PLUGINS`` module and every layer — ``repro run``,
-``repro list``, sweeps, the service — can name it.
+``repro list``, sweeps, ``repro validate`` — can name it.
 """
 
 from __future__ import annotations
