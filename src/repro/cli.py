@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, NoReturn, Optional
 
 #: ``repro list`` categories (the registry kinds it can introspect).
 LIST_CATEGORIES = ("workloads", "schemes", "predictors", "configs",
@@ -65,22 +65,60 @@ def _config_names() -> tuple:
     return CORE_CONFIGS.names()
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``repro CMD: error: ...`` line, exit 2."""
+
+    def error(self, message):
+        _usage_error(self.prog, message)
+
+
+def _usage_error(prog: str, message) -> NoReturn:
+    print(f"{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _int_at_least(minimum: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse's "invalid int value: ..." message
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
+
+
+def _benchmark(text: str) -> str:
+    from .workloads import resolve
+
+    try:
+        return resolve(text)
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
+
+
+def _comma_list(item):
+    """argparse type: a comma-separated list, each part parsed by *item*."""
+    def parse(text: str) -> list:
+        return [item(part.strip()) for part in text.split(",") if part.strip()]
+    parse.__name__ = f"comma-separated {item.__name__}"
+    return parse
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("benchmark", help="suite name, e.g. mcf or 505.mcf_r")
+    parser.add_argument("benchmark", type=_benchmark,
+                        help="suite name, e.g. mcf or 505.mcf_r")
     parser.add_argument("-n", "--instructions", type=_positive_int,
                         default=10_000,
                         help="dynamic trace length (default 10000)")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="ATR (MICRO 2025) reproduction: simulate, analyze, "
                     "and regenerate the paper's figures.",
@@ -89,6 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     scheme_names = list(_scheme_names())
     all_schemes_csv = ",".join(scheme_names)
+    benchmarks, rf_sizes = _comma_list(_benchmark), _comma_list(_positive_int)
+    schemes = _comma_list(str)
 
     run = sub.add_parser("run", help="simulate one benchmark")
     _add_common(run)
@@ -100,7 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=list(_config_names()),
                      help="named machine preset (repro list configs); "
                           "-s/-r/-d still override on top of it")
-    run.add_argument("-d", "--redefine-delay", type=int, default=0)
+    run.add_argument("-d", "--redefine-delay", type=_non_negative_int,
+                     default=0)
     run.add_argument("--tier", default="detailed",
                      choices=["detailed", "tiered"],
                      help="simulation tier: full-trace detailed (default) "
@@ -131,15 +172,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     swp = sub.add_parser("sweep", help="run a benchmark x rf x scheme grid "
                                        "through the parallel harness")
-    swp.add_argument("-b", "--benchmarks", default="mcf,deepsjeng,bwaves,namd",
+    swp.add_argument("-b", "--benchmarks", type=benchmarks,
+                     default="mcf,deepsjeng,bwaves,namd",
                      help="comma-separated suite names")
-    swp.add_argument("-r", "--rf-sizes", default="64",
+    swp.add_argument("-r", "--rf-sizes", type=rf_sizes, default="64",
                      help="comma-separated register file sizes")
-    swp.add_argument("-s", "--schemes", default=all_schemes_csv,
+    swp.add_argument("-s", "--schemes", type=schemes, default=all_schemes_csv,
                      help="comma-separated release schemes "
                           "(default: every registered scheme)")
     swp.add_argument("-n", "--instructions", type=_positive_int, default=None)
-    swp.add_argument("-d", "--redefine-delay", type=int, default=0)
+    swp.add_argument("-d", "--redefine-delay", type=_non_negative_int,
+                     default=0)
     swp.add_argument("-j", "--jobs", type=_positive_int, default=None,
                      help="worker processes (default: all cores)")
     swp.add_argument("-v", "--verbose", action="store_true",
@@ -148,12 +191,13 @@ def build_parser() -> argparse.ArgumentParser:
     val = sub.add_parser(
         "validate",
         help="seeded fault-injection campaign with the invariant sanitizer")
-    val.add_argument("-b", "--benchmarks", default="mcf,deepsjeng,bwaves,namd",
+    val.add_argument("-b", "--benchmarks", type=benchmarks,
+                     default="mcf,deepsjeng,bwaves,namd",
                      help="comma-separated suite names")
-    val.add_argument("-s", "--schemes", default=all_schemes_csv,
+    val.add_argument("-s", "--schemes", type=schemes, default=all_schemes_csv,
                      help="comma-separated release schemes "
                           "(default: every registered scheme)")
-    val.add_argument("-r", "--rf-sizes", default="28,40",
+    val.add_argument("-r", "--rf-sizes", type=rf_sizes, default="28,40",
                      help="comma-separated register file sizes")
     val.add_argument("--seeds", type=_positive_int, default=4,
                      help="chaos seeds per cell (default 4)")
@@ -162,7 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("-i", "--intensity", default="medium",
                      choices=["low", "medium", "high"],
                      help="fault-injection intensity (default medium)")
-    val.add_argument("-d", "--redefine-delay", type=int, default=0)
+    val.add_argument("-d", "--redefine-delay", type=_non_negative_int,
+                     default=0)
     val.add_argument("--quick", action="store_true",
                      help="small smoke campaign: 2 benchmarks, 1 rf size, "
                           "2 seeds, 1500 instructions")
@@ -171,37 +216,12 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("-v", "--verbose", action="store_true",
                      help="per-cell progress lines on stderr")
 
-    bench = sub.add_parser(
-        "bench", help="benchmark the simulator's own throughput")
-    bench.add_argument("target", choices=["core"],
-                       help="what to benchmark (core: the cycle pipeline)")
-    bench.add_argument("--quick", action="store_true",
-                       help="CI smoke: short traces, single repeat")
-    bench.add_argument("-n", "--instructions", type=_positive_int,
-                       default=None)
-    bench.add_argument("-r", "--rf-size", type=int, default=128)
-    bench.add_argument("--repeats", type=_positive_int, default=None,
-                       help="timed repeats per cell, best taken (default 3)")
-    bench.add_argument("-o", "--output", default="BENCH_core.json",
-                       help="result JSON path ('' to skip writing)")
-    bench.add_argument("--history", default="BENCH_history.json",
-                       help="trajectory JSON appended to on each run "
-                            "('' to skip)")
-    bench.add_argument("--profile", action="store_true",
-                       help="re-run each cell under cProfile and print the "
-                            "top-25 cumulative hotspots")
-    bench.add_argument("--ab", action="store_true",
-                       help="interleaved A/B regression gate: spin-loop vs "
-                            "skip-ahead vs tiered; non-zero exit on "
-                            "regression")
-    bench.add_argument("-v", "--verbose", action="store_true")
-
     cache = sub.add_parser("cache", help="manage the persistent result store")
     cache.add_argument("action", choices=["info", "clear", "gc"])
-    cache.add_argument("--max-bytes", type=int, default=None,
+    cache.add_argument("--max-bytes", type=_non_negative_int, default=None,
                        help="gc: evict least-recently-used entries (stale "
                             "generations first) until the cache fits")
-    cache.add_argument("--max-age", type=float, default=None,
+    cache.add_argument("--max-age", type=_non_negative_int, default=None,
                        help="gc: evict entries not read/written for this "
                             "many seconds")
 
@@ -225,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="static analysis of kernel programs (CFG/dataflow/memory "
              "lints, optional dynamic-vs-static ATR soundness oracle)")
-    lint.add_argument("benchmarks", nargs="*",
+    lint.add_argument("benchmarks", nargs="*", type=_benchmark,
                       help="suite names to lint (e.g. mcf 505.mcf_r)")
     lint.add_argument("--all", action="store_true",
                       help="lint every benchmark in the suite")
@@ -251,26 +271,29 @@ def build_parser() -> argparse.ArgumentParser:
                      help="which registry to list (default workloads)")
 
     disasm = sub.add_parser("disasm", help="disassemble a kernel")
-    disasm.add_argument("benchmark")
+    disasm.add_argument("benchmark", type=_benchmark)
     return parser
 
 
 def _cmd_run(args) -> int:
     from .pipeline import Core, core_config, golden_cove_config
-    from .workloads import build_trace, resolve
+    from .workloads import build_trace
 
-    name = resolve(args.benchmark)
+    name = args.benchmark
+    try:
+        if args.config is not None:
+            config = core_config(args.config)
+            config = config.with_scheme(args.scheme, args.redefine_delay)
+            if args.rf_size is not None:
+                config = config.with_rf_size(args.rf_size)
+            config.validate()
+        else:
+            config = golden_cove_config(
+                rf_size=args.rf_size if args.rf_size is not None else 64,
+                scheme=args.scheme, redefine_delay=args.redefine_delay)
+    except ValueError as exc:
+        _usage_error("repro run", exc)
     trace = build_trace(name, args.instructions)
-    if args.config is not None:
-        config = core_config(args.config)
-        config = config.with_scheme(args.scheme, args.redefine_delay)
-        if args.rf_size is not None:
-            config = config.with_rf_size(args.rf_size)
-        config.validate()
-    else:
-        config = golden_cove_config(
-            rf_size=args.rf_size if args.rf_size is not None else 64,
-            scheme=args.scheme, redefine_delay=args.redefine_delay)
     args.rf_size = config.int_rf_size  # for the summary lines below
     if args.tier == "tiered":
         from .tiered import run_tiered
@@ -307,15 +330,20 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     from .pipeline import Core, golden_cove_config
-    from .workloads import build_trace, resolve
+    from .workloads import build_trace
 
-    name = resolve(args.benchmark)
+    try:
+        configs = {scheme: golden_cove_config(rf_size=args.rf_size,
+                                              scheme=scheme)
+                   for scheme in _scheme_names()}
+    except ValueError as exc:
+        _usage_error("repro compare", exc)
+    name = args.benchmark
     trace = build_trace(name, args.instructions)
     print(f"{name} @ {args.rf_size} registers, {len(trace)} instructions")
     print(f"{'scheme':12} {'IPC':>7} {'vs base':>8} {'early frees':>12}")
     base_ipc = None
-    for scheme in _scheme_names():
-        config = golden_cove_config(rf_size=args.rf_size, scheme=scheme)
+    for scheme, config in configs.items():
         core = Core(config, trace)
         stats = core.run()
         if base_ipc is None:
@@ -335,16 +363,12 @@ def _figure_kwargs(module, args) -> dict:
     """
     import inspect
 
-    from .harness import resolve_jobs
-
     params = inspect.signature(module.run).parameters
     kwargs = {}
     if args.instructions is not None and "instructions" in params:
         kwargs["instructions"] = args.instructions
     if "jobs" in params:
-        # Resolved here, not left as None: a figure's ``jobs=None`` means
-        # "resolve cells one at a time" rather than "use every core".
-        kwargs["jobs"] = resolve_jobs(args.jobs)
+        kwargs["jobs"] = args.jobs
     if args.quick:
         int2 = ["505.mcf_r", "531.deepsjeng_r"]
         fp2 = ["503.bwaves_r", "508.namd_r"]
@@ -405,11 +429,8 @@ def _cmd_sweep(args) -> int:
     from .experiments.report import format_table
     from .experiments.runner import cell_spec
     from .harness import sweep
-    from .workloads import resolve
 
-    benchmarks = [resolve(b.strip()) for b in args.benchmarks.split(",") if b.strip()]
-    rf_sizes = [int(r) for r in args.rf_sizes.split(",") if r.strip()]
-    schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
+    benchmarks, rf_sizes, schemes = args.benchmarks, args.rf_sizes, args.schemes
     specs = [
         cell_spec(benchmark, rf_size, scheme, args.instructions,
                   redefine_delay=args.redefine_delay)
@@ -441,7 +462,6 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_validate(args) -> int:
     from .validate import campaign_specs, run_campaign
-    from .workloads import resolve
 
     if args.quick:
         benchmarks = ["505.mcf_r", "503.bwaves_r"]
@@ -449,16 +469,14 @@ def _cmd_validate(args) -> int:
         seeds = range(2)
         instructions = 1500
     else:
-        benchmarks = [resolve(b.strip())
-                      for b in args.benchmarks.split(",") if b.strip()]
-        rf_sizes = [int(r) for r in args.rf_sizes.split(",") if r.strip()]
+        benchmarks = args.benchmarks
+        rf_sizes = args.rf_sizes
         seeds = range(args.seeds)
         instructions = args.instructions
-    schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
 
     specs = campaign_specs(
         benchmarks=benchmarks,
-        schemes=schemes,
+        schemes=args.schemes,
         rf_sizes=rf_sizes,
         seeds=list(seeds),
         instructions=instructions,
@@ -631,18 +649,14 @@ def _cmd_lint(args) -> int:
     import json
 
     from .staticcheck import analyze_regions, check_trace, lint_program
-    from .workloads import build_trace, builder_for, resolve
+    from .workloads import build_trace, builder_for
 
     if args.all:
         from .workloads import workload_names
 
         names = list(workload_names(variants=True))
     elif args.benchmarks:
-        try:
-            names = [resolve(b) for b in args.benchmarks]
-        except KeyError as exc:
-            print(f"lint: {exc.args[0]}", file=sys.stderr)
-            return 2
+        names = args.benchmarks
     else:
         print("lint: name benchmarks or pass --all", file=sys.stderr)
         return 2
@@ -758,27 +772,11 @@ def _cmd_list(args) -> int:
 
 def _cmd_disasm(args) -> int:
     from .isa import disassemble
-    from .workloads import builder_for, resolve
+    from .workloads import builder_for
 
-    name = resolve(args.benchmark)
-    program = builder_for(name)(iterations=2)
+    program = builder_for(args.benchmark)(iterations=2)
     print(disassemble(program))
     return 0
-
-
-def _cmd_bench(args) -> int:
-    from .bench import run_bench_cli
-    return run_bench_cli(
-        quick=args.quick,
-        output=args.output or None,
-        instructions=args.instructions,
-        rf_size=args.rf_size,
-        repeats=args.repeats,
-        verbose=args.verbose,
-        profile=args.profile,
-        ab=args.ab,
-        history=args.history or None,
-    )
 
 
 _COMMANDS = {
@@ -792,7 +790,6 @@ _COMMANDS = {
     "lint": _cmd_lint,
     "list": _cmd_list,
     "disasm": _cmd_disasm,
-    "bench": _cmd_bench,
 }
 
 

@@ -63,12 +63,11 @@ def run(
 ) -> Fig01Result:
     benchmarks = list(default_int_suite() if benchmarks is None else benchmarks)
     instructions = instructions or default_instructions()
-    if jobs is not None:
-        prime_cells(
-            [cell_spec(b, size, "baseline", instructions)
-             for b in benchmarks for size in (IDEAL_RF, *sizes)],
-            jobs=jobs,
-        )
+    prime_cells(
+        [cell_spec(b, size, "baseline", instructions)
+         for b in benchmarks for size in (IDEAL_RF, *sizes)],
+        jobs=jobs,
+    )
     normalized: Dict[str, Dict[int, float]] = {}
     for benchmark in benchmarks:
         ideal = run_cell(benchmark, IDEAL_RF, "baseline", instructions).ipc

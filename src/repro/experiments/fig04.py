@@ -70,13 +70,12 @@ def run(
     int_benchmarks = list(default_int_suite() if int_benchmarks is None else int_benchmarks)
     fp_benchmarks = list(default_fp_suite() if fp_benchmarks is None else fp_benchmarks)
     instructions = instructions or default_instructions()
-    if jobs is not None:
-        prime_cells(
-            [cell_spec(b, rf_size, "baseline", instructions,
-                       record_register_events=True)
-             for b in int_benchmarks + fp_benchmarks],
-            jobs=jobs,
-        )
+    prime_cells(
+        [cell_spec(b, rf_size, "baseline", instructions,
+                   record_register_events=True)
+         for b in int_benchmarks + fp_benchmarks],
+        jobs=jobs,
+    )
     per_benchmark: Dict[str, LifetimeShares] = {}
     int_records = []
     fp_records = []

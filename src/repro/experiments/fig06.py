@@ -62,11 +62,10 @@ def run(
     int_benchmarks = list(default_int_suite() if int_benchmarks is None else int_benchmarks)
     fp_benchmarks = list(default_fp_suite() if fp_benchmarks is None else fp_benchmarks)
     instructions = instructions or default_instructions()
-    if jobs is not None:
-        prime_regions(
-            [RegionSpec(b, instructions) for b in int_benchmarks + fp_benchmarks],
-            jobs=jobs,
-        )
+    prime_regions(
+        [RegionSpec(b, instructions) for b in int_benchmarks + fp_benchmarks],
+        jobs=jobs,
+    )
     ratios: Dict[str, Dict[str, float]] = {}
     for benchmark in int_benchmarks + fp_benchmarks:
         report = region_report(benchmark, instructions)

@@ -81,14 +81,13 @@ def run(
     int_benchmarks = list(default_int_suite() if int_benchmarks is None else int_benchmarks)
     fp_benchmarks = list(default_fp_suite() if fp_benchmarks is None else fp_benchmarks)
     instructions = instructions or default_instructions()
-    if jobs is not None:
-        prime_cells(
-            [cell_spec(b, rf_size, scheme, instructions)
-             for b in int_benchmarks + fp_benchmarks
-             for rf_size in sizes
-             for scheme in ("baseline", "atr")],
-            jobs=jobs,
-        )
+    prime_cells(
+        [cell_spec(b, rf_size, scheme, instructions)
+         for b in int_benchmarks + fp_benchmarks
+         for rf_size in sizes
+         for scheme in ("baseline", "atr")],
+        jobs=jobs,
+    )
     speedups: Dict[Tuple[str, int], float] = {}
     for benchmark in int_benchmarks + fp_benchmarks:
         for rf_size in sizes:

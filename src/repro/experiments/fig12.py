@@ -64,9 +64,7 @@ def run(
     if benchmarks is None:
         benchmarks = list(default_int_suite()) + list(default_fp_suite())
     instructions = instructions or default_instructions()
-    if jobs is not None:
-        prime_regions([RegionSpec(b, instructions) for b in benchmarks],
-                      jobs=jobs)
+    prime_regions([RegionSpec(b, instructions) for b in benchmarks], jobs=jobs)
     histograms: Dict[str, Dict[int, int]] = {}
     means: Dict[str, float] = {}
     for benchmark in benchmarks:

@@ -70,13 +70,12 @@ def run(
 ) -> Fig13Result:
     benchmarks = list(default_int_suite() if benchmarks is None else benchmarks)
     instructions = instructions or default_instructions()
-    if jobs is not None:
-        prime_cells(
-            [cell_spec(b, rf_size, "baseline", instructions) for b in benchmarks]
-            + [cell_spec(b, rf_size, "atr", instructions, redefine_delay=d)
-               for b in benchmarks for d in DELAYS],
-            jobs=jobs,
-        )
+    prime_cells(
+        [cell_spec(b, rf_size, "baseline", instructions) for b in benchmarks]
+        + [cell_spec(b, rf_size, "atr", instructions, redefine_delay=d)
+           for b in benchmarks for d in DELAYS],
+        jobs=jobs,
+    )
     speedups: Dict[Tuple[str, int], float] = {}
     for benchmark in benchmarks:
         base = run_cell(benchmark, rf_size, "baseline", instructions)

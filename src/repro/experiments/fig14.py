@@ -79,14 +79,12 @@ def run(
     if benchmarks is None:
         benchmarks = list(default_int_suite()) + list(default_fp_suite())
     instructions = instructions or default_instructions()
-    if jobs is not None:
-        prime_cells(
-            [cell_spec(b, rf_size, "baseline", instructions,
-                       record_register_events=True) for b in benchmarks],
-            jobs=jobs,
-        )
-        prime_regions([RegionSpec(b, instructions) for b in benchmarks],
-                      jobs=jobs)
+    prime_cells(
+        [cell_spec(b, rf_size, "baseline", instructions,
+                   record_register_events=True) for b in benchmarks],
+        jobs=jobs,
+    )
+    prime_regions([RegionSpec(b, instructions) for b in benchmarks], jobs=jobs)
     timings: Dict[str, EventTiming] = {}
     for benchmark in benchmarks:
         cell = run_cell(benchmark, rf_size, "baseline", instructions,

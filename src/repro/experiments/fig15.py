@@ -71,9 +71,8 @@ class Fig15Result:
 
 
 def _suite_ipc(benchmarks, rf_size, scheme, instructions, jobs=None) -> float:
-    if jobs is not None:
-        prime_cells([cell_spec(b, rf_size, scheme, instructions)
-                     for b in benchmarks], jobs=jobs)
+    prime_cells([cell_spec(b, rf_size, scheme, instructions)
+                 for b in benchmarks], jobs=jobs)
     return mean(
         run_cell(b, rf_size, scheme, instructions).ipc for b in benchmarks
     )

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from ..analysis import RegionReport
 from ..harness import (
@@ -28,10 +28,8 @@ from ..harness import (
     RegionSpec,
     TierPolicy,
     default_store,
-    simulate_cell,
     sweep,
 )
-from ..pipeline import CoreConfig
 from ..workloads import SPEC_FP, SPEC_INT
 
 __all__ = [
@@ -87,31 +85,23 @@ def run_cell(
     instructions: Optional[int] = None,
     redefine_delay: int = 0,
     record_register_events: bool = False,
-    config: Optional[CoreConfig] = None,
     use_cache: bool = True,
     tier: Optional[TierPolicy] = None,
 ) -> CellResult:
     """Simulate one benchmark under one configuration.
 
-    With a custom *config* the cell is computed directly and never cached
-    (the config is not part of the spec identity).  *tier* selects the
-    simulation tier (default: full-trace detailed); tiered and detailed
-    results of the same cell cache under distinct spec identities.
+    A memo miss resolves the cell through :func:`repro.harness.sweep`;
+    ``use_cache=False`` bypasses both the memo and the persistent store.
+    *tier* selects the simulation tier (default: full-trace detailed);
+    tiered and detailed results of the same cell cache under distinct
+    spec identities.
     """
     spec = cell_spec(benchmark, rf_size, scheme, instructions,
                      redefine_delay, record_register_events, tier)
-    if config is not None:
-        return simulate_cell(spec, config=config)
     if use_cache and spec in _cell_cache:
         return _cell_cache[spec]
-    result = None
     store = default_store() if use_cache else None
-    if store is not None:
-        result = store.get(spec)
-    if result is None:
-        result = simulate_cell(spec)
-        if store is not None:
-            store.put(spec, result)
+    result = sweep([spec], jobs=1, store=store).require_complete()[spec]
     if use_cache:
         _cell_cache[spec] = result
     return result
@@ -196,13 +186,12 @@ def suite_speedup(
     benchmarks = list(benchmarks)
     if not benchmarks:
         raise ValueError("suite_speedup over an empty benchmark list")
-    if jobs is not None:
-        prime_cells(
-            [cell_spec(b, rf_size, s, instructions,
-                       redefine_delay if s == scheme else 0)
-             for b in benchmarks for s in (scheme, baseline)],
-            jobs=jobs,
-        )
+    prime_cells(
+        [cell_spec(b, rf_size, s, instructions,
+                   redefine_delay if s == scheme else 0)
+         for b in benchmarks for s in (scheme, baseline)],
+        jobs=jobs,
+    )
     speedups = []
     for benchmark in benchmarks:
         test = run_cell(benchmark, rf_size, scheme, instructions,

@@ -97,7 +97,6 @@ def test_parser_requires_command():
     ["figure", "fig06", "--quick"],
     ["sweep", "-b", "mcf"],
     ["validate", "--quick"],
-    ["bench", "core", "--quick", "-o", ""],
 ])
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_non_positive_instructions_is_usage_error(argv, count, capsys):
@@ -105,6 +104,31 @@ def test_non_positive_instructions_is_usage_error(argv, count, capsys):
         main(argv + ["-n", count])
     assert exc.value.code == 2
     assert "must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "core"],
+    ["run", "bogus"],
+    ["compare", "bogus"],
+    ["disasm", "bogus"],
+    ["lint", "bogus"],
+    ["sweep", "-b", "bogus"],
+    ["validate", "-b", "bogus"],
+    ["sweep", "-r", "abc"],
+    ["run", "mcf", "-d", "-5"],
+    ["sweep", "-d", "-2"],
+    ["run", "mcf", "-r", "0"],
+    ["compare", "mcf", "-r", "10"],
+    ["cache", "gc", "--max-bytes", "-1"],
+    ["cache", "gc", "--max-age", "-1"],
+], ids=" ".join)
+def test_bad_argument_is_one_line_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "error:" in err
+    assert "Traceback" not in err
 
 
 def test_cache_info_reports_counters(capsys):
