@@ -7,8 +7,8 @@ a register only for (max of 1 and 2); the baseline holds it until (3).
 
 Figure 5 is a qualitative table of per-instruction stage timings
 (renamed / executed / completed / precommitted) for a code window; the
-``timeline_table`` helper renders the same view from a simulated run with
-``record_timeline`` enabled.
+``timeline_table`` helper renders the same view from the rows a
+:class:`TimelineProbe` collects over a simulated run.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..frontend import Trace
 from ..isa import RegClass
+from ..pipeline.probes import Probe
 from ..pipeline.stats import RegisterLifetime
 from .regions import RegionReport, classify_regions
 
@@ -79,6 +80,21 @@ def atomic_event_timing(
     )
 
 
+class TimelineProbe(Probe):
+    """Collects one ``(trace_seq, pc, rename, issue, complete, precommit,
+    commit)`` row per committed instruction (attach with
+    ``Core.add_probe``); the input of :func:`timeline_table`."""
+
+    def __init__(self):
+        self.rows: List[tuple] = []
+
+    def on_commit(self, entry, cycle: int) -> None:
+        self.rows.append(
+            (entry.dyn.trace_seq, entry.dyn.pc, entry.cycle_rename,
+             entry.cycle_issue, entry.cycle_complete,
+             entry.cycle_precommit, entry.cycle_commit))
+
+
 def timeline_table(
     timeline: Sequence[tuple],
     trace: Trace,
@@ -87,8 +103,7 @@ def timeline_table(
 ) -> str:
     """A Figure 5-style stage-timing table for a window of the trace.
 
-    *timeline* rows are the core's ``(trace_seq, pc, rename, issue,
-    complete, precommit, commit)`` tuples (``record_timeline=True``).
+    *timeline* rows are :attr:`TimelineProbe.rows`.
     """
     rows = {row[0]: row for row in timeline}
     lines = [f"{'seq':>6} {'instruction':32} {'Re':>6} {'Ex':>6} {'Cm':>6} {'Pr':>6}"]

@@ -125,7 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    scheme_names = list(_scheme_names())
+    from .experiments import FIGURES
+
+    scheme_names = list(_scheme_names())  # also loads plugin figures
     all_schemes_csv = ",".join(scheme_names)
     benchmarks, rf_sizes = _comma_list(_benchmark), _comma_list(_positive_int)
     schemes = _comma_list(str)
@@ -158,8 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("-r", "--rf-size", type=int, default=64)
 
     figure = sub.add_parser("figure", help="regenerate a paper figure")
-    figure.add_argument("name", help="fig01|fig04|fig06|fig10|fig11|fig12|"
-                                     "fig13|fig14|fig15|sec44|all")
+    figure.add_argument("name", choices=[*FIGURES.names(), "all"],
+                        help="figure name, or all")
     figure.add_argument("-n", "--instructions", type=_positive_int,
                         default=None)
     figure.add_argument("--quick", action="store_true",
@@ -390,14 +392,7 @@ def _cmd_figure(args) -> int:
     from .experiments import ALL_FIGURES
     from .harness import SweepError, set_default_progress
 
-    if args.name == "all":
-        names = list(ALL_FIGURES)
-    elif args.name in ALL_FIGURES:
-        names = [args.name]
-    else:
-        print(f"unknown figure {args.name!r}; known: "
-              f"{', '.join(ALL_FIGURES)}, all", file=sys.stderr)
-        return 2
+    names = list(ALL_FIGURES) if args.name == "all" else [args.name]
 
     progress = _sweep_progress(args.verbose)
     set_default_progress(progress)
@@ -503,9 +498,7 @@ def _cmd_cache(args) -> int:
         return 0
     if args.action == "gc":
         if args.max_bytes is None and args.max_age is None:
-            print("cache gc: pass --max-bytes and/or --max-age",
-                  file=sys.stderr)
-            return 2
+            _usage_error("repro cache", "gc: pass --max-bytes and/or --max-age")
         report = run_gc(store, max_bytes=args.max_bytes,
                         max_age=args.max_age)
         print(report.render())
@@ -536,9 +529,8 @@ def _cmd_analyze(args) -> int:
     if args.benchmark[0] == "static":
         return _cmd_analyze_static(args)
     if len(args.benchmark) != 1:
-        print("analyze: exactly one benchmark (or `analyze static "
-              "[BENCH...]`)", file=sys.stderr)
-        return 2
+        _usage_error("repro analyze", "exactly one benchmark (or `analyze "
+                                      "static [BENCH...]`)")
 
     from .analysis import classify_regions
     from .workloads import build_trace, resolve
@@ -658,8 +650,7 @@ def _cmd_lint(args) -> int:
     elif args.benchmarks:
         names = args.benchmarks
     else:
-        print("lint: name benchmarks or pass --all", file=sys.stderr)
-        return 2
+        _usage_error("repro lint", "name benchmarks or pass --all")
 
     warn_unused = not args.no_warn_unused_ignore
     failed = 0

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..analysis import RegionReport, classify_regions
-from ..pipeline import Core, CoreConfig, SimStats, golden_cove_config
+from ..pipeline import Core, CoreConfig, RegisterEventProbe, SimStats, golden_cove_config
 from ..rename.schemes import SchemeStats
 from ..workloads import build_trace, is_fp
 from .spec import CellSpec, RegionSpec, Spec
@@ -55,7 +55,6 @@ def simulate_cell(spec: CellSpec, config: Optional[CoreConfig] = None,
             rf_size=spec.rf_size,
             scheme=spec.scheme,
             redefine_delay=spec.redefine_delay,
-            record_register_events=spec.record_register_events,
         )
         # Value execution is a correctness harness, not a performance
         # model; experiments disable it for speed (tests keep it on).
@@ -83,6 +82,8 @@ def simulate_cell(spec: CellSpec, config: Optional[CoreConfig] = None,
             tier_info=tier_info,
         )
     core = Core(config, trace)
+    event_probe = (core.add_probe(RegisterEventProbe())
+                   if spec.record_register_events else None)
     stats = core.run()
     return CellResult(
         benchmark=spec.benchmark,
@@ -91,7 +92,7 @@ def simulate_cell(spec: CellSpec, config: Optional[CoreConfig] = None,
         instructions=spec.instructions,
         stats=stats,
         scheme_stats=core.scheme.stats,
-        event_records=(core.event_log.records if core.event_log else None),
+        event_records=(event_probe.log.records if event_probe else None),
     )
 
 

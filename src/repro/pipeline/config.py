@@ -83,19 +83,8 @@ class CoreConfig:
     # Memory hierarchy
     memory: HierarchyConfig = field(default_factory=HierarchyConfig)
 
-    # Simulation-speed switches (timing-neutral by construction).
-    # skip_ahead lets Core.run jump the cycle counter over quiescent
-    # windows — cycles in which no stage can make progress because every
-    # in-flight op waits on a known-latency completion event.  The jump is
-    # provably stats-identical to spinning (see DESIGN.md, "Tiered
-    # simulation"); it auto-disables whenever probes or an interrupt
-    # controller are attached, so observers always see every cycle.
-    skip_ahead: bool = True
-
     # Modeling switches
     execute_values: bool = True
-    record_register_events: bool = False
-    record_timeline: bool = False
     conservation_check: bool = True
     # Online invariant sanitizer (repro.validate): per-event use-after-
     # release / conservation / ordering checks.  Off by default — when
@@ -134,13 +123,11 @@ def golden_cove_config(
     rf_size: int = 280,
     scheme: str = "baseline",
     redefine_delay: int = 0,
-    record_register_events: bool = False,
 ) -> CoreConfig:
     """The paper's Table 1 machine with a given RF size and scheme."""
     config = CoreConfig(
         scheme=scheme,
         redefine_delay=redefine_delay,
-        record_register_events=record_register_events,
     ).with_rf_size(rf_size)
     config.validate()
     return config

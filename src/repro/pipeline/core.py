@@ -23,7 +23,7 @@ from ..frontend import ArchState, Trace
 from ..rename import make_scheme
 from ..rename.schemes import ReleaseScheme
 from .config import CoreConfig
-from .probes import Probe, ProbeManager, RegisterEventProbe
+from .probes import Probe, ProbeManager
 from .stages import (
     CommitStage,
     ExecuteStage,
@@ -36,7 +36,7 @@ from .stages import (
     StagePipeline,
 )
 from .state import PipelineState, build_state
-from .stats import RegisterEventLog, SimStats
+from .stats import SimStats
 
 
 class DeadlockError(RuntimeError):
@@ -86,29 +86,14 @@ class Core:
             # stable references to branch_unit/memory/mem_values.
             from .warmup import apply_warmup
             apply_warmup(self.state, warmup, consume=consume_warmup)
-        self._chained_release = None
-        self._chained_claim = None
-        # Freeze the dispatcher bound methods: attribute access would mint
-        # a fresh bound-method object each time, defeating the identity
-        # checks in _sync_scheme_listeners (and self-chaining the
-        # dispatcher once a second release/claim subscriber registers).
-        self._dispatch_release = self._dispatch_release
-        self._dispatch_claim = self._dispatch_claim
-
-        #: Register-event log for the analysis package (probe-fed).
-        self.event_log: Optional[RegisterEventLog] = None
-        if config.record_register_events:
-            self.event_log = RegisterEventLog()
-            self.add_probe(RegisterEventProbe(self.event_log))
-
         self.stages = self._build_stages(self.state)
         self._pipeline = self.stages.in_order
         # Hot-loop caches: bound stage methods (one LOAD_FAST + call per
         # stage per cycle instead of two attribute chases) and the
-        # structural limits the skip-ahead progress test needs.  All of
-        # these are identity-stable for the life of the core.
-        self._stage_runs = tuple(stage.run for stage in self._pipeline)
-        self._scheme_tick = self.state.scheme.tick
+        # scheme tick, rebuilt whenever a probe (un)registers, plus the
+        # identity-stable structural limits the skip-ahead progress test
+        # needs.
+        self._sync_probes()
         self._rs_size = config.rs_size
         self._lq_size = config.lq_size
         self._sq_size = config.sq_size
@@ -157,8 +142,6 @@ class Core:
     branch_unit = property(lambda self: self.state.branch_unit)
     memory = property(lambda self: self.state.memory)
     checkpoints = property(lambda self: self.state.checkpoints)
-    #: Per-committed-instruction timeline rows when record_timeline is set.
-    timeline = property(lambda self: self.state.timeline)
     cycle = property(lambda self: self.state.cycle,
                      lambda self, v: setattr(self.state, "cycle", v))
 
@@ -178,49 +161,39 @@ class Core:
         if manager is None:
             manager = self.state.probes = ProbeManager()
         manager.add(probe)
-        self._sync_scheme_listeners()
+        self._sync_probes()
         return probe
 
     def remove_probe(self, probe: Probe) -> None:
+        """Unregister *probe*; ``ValueError`` if it is not registered."""
         manager = self.state.probes
+        if manager is None:
+            raise ValueError(f"{probe!r} is not a registered probe")
         manager.remove(probe)
         if not manager.probes:
             self.state.probes = None
-        self._sync_scheme_listeners()
+        self._sync_probes()
 
-    def _sync_scheme_listeners(self) -> None:
-        """Route the scheme's free/claim callbacks into the probe layer
-        while preserving any externally installed listener."""
-        scheme = self.state.scheme
-        manager = self.state.probes
-        if manager is not None and manager.early_release:
-            if scheme.release_listener is not self._dispatch_release:
-                self._chained_release = scheme.release_listener
-                scheme.release_listener = self._dispatch_release
-        elif scheme.release_listener is self._dispatch_release:
-            scheme.release_listener = self._chained_release
-            self._chained_release = None
-        if manager is not None and manager.claim:
-            if scheme.claim_listener is not self._dispatch_claim:
-                self._chained_claim = scheme.claim_listener
-                scheme.claim_listener = self._dispatch_claim
-        elif scheme.claim_listener is self._dispatch_claim:
-            scheme.claim_listener = self._chained_claim
-            self._chained_claim = None
+    def _sync_probes(self) -> None:
+        """Fold the per-cycle emissions into the step loop's callables and
+        point the scheme's release/claim callbacks at their subscribers.
 
-    def _dispatch_release(self, file_cls, ptag: int) -> None:
+        With no ``phase``/``cycle_end`` subscriber the loop runs the bare
+        stage methods and scheme tick, exactly as an unprobed core does.
+        """
         state = self.state
-        for fn in state.probes.early_release:
-            fn(file_cls, ptag, state.cycle)
-        if self._chained_release is not None:
-            self._chained_release(file_cls, ptag)
-
-    def _dispatch_claim(self, file_cls, ptag: int) -> None:
-        state = self.state
-        for fn in state.probes.claim:
-            fn(file_cls, ptag, state.cycle)
-        if self._chained_claim is not None:
-            self._chained_claim(file_cls, ptag)
+        scheme = state.scheme
+        events = state.probes if state.probes is not None else ProbeManager()
+        phase = events.phase
+        self._scheme_tick = (_phased("scheme_tick", scheme.tick, phase)
+                             if phase else scheme.tick)
+        runs = tuple(_phased(stage.name, stage.run, phase) if phase
+                     else stage.run for stage in self._pipeline)
+        if events.cycle_end:
+            runs += (_cycle_end_run(events.cycle_end),)
+        self._stage_runs = runs
+        scheme.release_listener = _listener(state, events.early_release)
+        scheme.claim_listener = _listener(state, events.claim)
 
     # -- interrupts -------------------------------------------------------------
     def attach_interrupt_controller(self, controller) -> None:
@@ -235,12 +208,14 @@ class Core:
     def run(self, max_cycles: Optional[int] = None) -> SimStats:
         """Simulate until the trace is fully committed; returns the stats.
 
-        When ``config.skip_ahead`` is set and no probes or interrupt
-        controller are attached, quiescent windows — stretches of cycles
-        in which no stage can make progress because everything in flight
-        waits on a known-latency event — are jumped instead of spun, with
-        the per-cycle rename-stall accounting replayed in bulk so the
+        Quiescent windows — stretches of cycles in which no stage can
+        make progress because everything in flight waits on a
+        known-latency event — are jumped instead of spun, with the
+        per-cycle rename-stall accounting replayed in bulk so the
         resulting :class:`SimStats` are bit-identical to the spin loop.
+        Event-driven probes see the same events either way; a subscriber
+        to a per-cycle event (``phase``, ``rename_stall``, ``cycle_end``)
+        or an attached interrupt controller makes the loop spin.
         """
         state = self.state
         if max_cycles is None:
@@ -249,7 +224,6 @@ class Core:
         last_committed = 0
         stats = state.stats
         step = self.step
-        skip_enabled = state.config.skip_ahead
         while not state.done:
             state.cycle += 1
             step()
@@ -259,8 +233,9 @@ class Core:
             else:
                 if state.cycle - last_commit_cycle > 200_000:
                     raise self._deadlock("no commit for 200k cycles")
-                if (skip_enabled and not state.done
-                        and state.probes is None
+                probes = state.probes
+                if (not state.done
+                        and (probes is None or not probes.per_cycle)
                         and state.interrupt_controller is None):
                     # Furthest cycle provably indistinguishable from
                     # spinning; clamped so the deadlock/max-cycle raises
@@ -387,28 +362,12 @@ class Core:
         """Advance one cycle through the documented phase order."""
         state = self.state
         cycle = state.cycle
-        probes = state.probes
-        if probes is None:
-            self._scheme_tick(cycle)
-            controller = state.interrupt_controller
-            if controller is not None:
-                state.interrupt_fetch_stall = controller.tick(cycle)
-            for run in self._stage_runs:
-                run(state, cycle)
-        else:
-            phase_probes = probes.phase
-            for fn in phase_probes:
-                fn("scheme_tick", cycle)
-            state.scheme.tick(cycle)
-            controller = state.interrupt_controller
-            if controller is not None:
-                state.interrupt_fetch_stall = controller.tick(cycle)
-            for stage in self._pipeline:
-                for fn in phase_probes:
-                    fn(stage.name, cycle)
-                stage.run(state, cycle)
-            for fn in probes.cycle_end:
-                fn(cycle)
+        self._scheme_tick(cycle)
+        controller = state.interrupt_controller
+        if controller is not None:
+            state.interrupt_fetch_stall = controller.tick(cycle)
+        for run in self._stage_runs:
+            run(state, cycle)
         # Inlined state.frontend_exhausted() — this runs every cycle.
         if (state.cursor >= self._trace_len
                 and state.fq_head >= len(state.fetch_queue)
@@ -447,6 +406,36 @@ class Core:
         """Free-list conservation: with an empty ROB every allocated ptag
         is exactly an SRT mapping."""
         self.state.check_conservation()
+
+
+def _phased(name: str, run, phase):
+    """*run* (``tick(cycle)`` or ``Stage.run(state, cycle)``) preceded by
+    the ``phase`` event for *name*."""
+    def phased(*args) -> None:
+        for fn in phase:
+            fn(name, args[-1])
+        run(*args)
+    return phased
+
+
+def _cycle_end_run(handlers):
+    def cycle_end_run(state: PipelineState, cycle: int) -> None:
+        for fn in handlers:
+            fn(cycle)
+    return cycle_end_run
+
+
+def _listener(state: PipelineState, handlers):
+    """A scheme ``(file_cls, ptag)`` callback forwarding to probe
+    *handlers* with the current cycle, or ``None`` when there are none."""
+    if not handlers:
+        return None
+
+    def listener(file_cls, ptag: int) -> None:
+        cycle = state.cycle
+        for fn in handlers:
+            fn(file_cls, ptag, cycle)
+    return listener
 
 
 def simulate(config: CoreConfig, trace: Trace, max_cycles: Optional[int] = None) -> SimStats:

@@ -11,26 +11,28 @@ unprobed core paying nothing on the hot path:
   override that handler — an event nobody listens to costs an empty
   tuple check.
 
-Probe event table (see DESIGN.md, "Pipeline architecture"):
+Probe event table (see DESIGN.md, "Pipeline architecture").  Only a
+*per-cycle* event can fire while no stage makes progress, so only its
+subscribers make ``Core.run`` spin instead of skipping idle cycles.
 
-=================  ============================================  =========================
-event              emitted                                       payload
-=================  ============================================  =========================
-phase              start of each per-cycle phase                 phase name, cycle
-fetch              instruction entered the fetch queue           FetchedInstr, cycle
-rename_stall       rename blocked this cycle                     cause, cycle
-rename_sources     after SRT source lookup, before allocation    ROBEntry, cycle
-allocate           after destination allocation                  ROBEntry, cycle
-rename             instruction fully renamed/dispatched          ROBEntry, cycle
-issue              selected, before the scheme's issue hook      ROBEntry, cycle
-writeback          completion, before wakeup                     ROBEntry, cycle
-precommit          precommit pointer passed the entry            ROBEntry, cycle
-commit             retired, after the scheme's commit hook       ROBEntry, cycle
-flush              pipeline flush, before scheme reclamation     entries, kind, cycle
-early_release      scheme freed a register before commit         RegClass, ptag, cycle
-claim              ATR claimed a previous mapping                RegClass, ptag, cycle
-cycle_end          all phases of the cycle ran                   cycle
-=================  ============================================  =========================
+=================  =========  ============================================  =========================
+event              per-cycle  emitted                                       payload
+=================  =========  ============================================  =========================
+phase              yes        start of each per-cycle phase                 phase name, cycle
+fetch                         instruction entered the fetch queue           FetchedInstr, cycle
+rename_stall       yes        rename blocked this cycle                     cause, cycle
+rename_sources                after SRT source lookup, before allocation    ROBEntry, cycle
+allocate                      after destination allocation                  ROBEntry, cycle
+rename                        instruction fully renamed/dispatched          ROBEntry, cycle
+issue                         selected, before the scheme's issue hook      ROBEntry, cycle
+writeback                     completion, before wakeup                     ROBEntry, cycle
+precommit                     precommit pointer passed the entry            ROBEntry, cycle
+commit                        retired, after the scheme's commit hook       ROBEntry, cycle
+flush                         pipeline flush, before scheme reclamation     entries, kind, cycle
+early_release                 scheme freed a register before commit         RegClass, ptag, cycle
+claim                         ATR claimed a previous mapping                RegClass, ptag, cycle
+cycle_end          yes        all phases of the cycle ran                   cycle
+=================  =========  ============================================  =========================
 
 ``rename_stall`` causes: ``empty``, ``rob``, ``rs``, ``lq``, ``sq``,
 ``freelist``.  ``flush`` kinds: ``branch``, ``interrupt``.
@@ -39,6 +41,8 @@ cycle_end          all phases of the cycle ran                   cycle
 from __future__ import annotations
 
 from typing import Iterator, List, Tuple
+
+from .stats import RegisterEventLog
 
 #: Every probe event, in rough pipeline order.  ``ProbeManager`` exposes
 #: one attribute per entry holding the tuple of subscribed handlers.
@@ -58,6 +62,9 @@ PROBE_EVENTS = (
     "claim",
     "cycle_end",
 )
+
+#: The events that may fire in a quiescent cycle; see the table above.
+PER_CYCLE_EVENTS = ("phase", "rename_stall", "cycle_end")
 
 #: The documented per-cycle phase order (oldest work first); the
 #: ``phase`` event fires once per entry per cycle, in this order.
@@ -125,10 +132,12 @@ class Probe:
 class ProbeManager:
     """Holds the registered probes and the per-event dispatch tuples."""
 
-    __slots__ = PROBE_EVENTS + ("probes",)
+    __slots__ = PROBE_EVENTS + ("probes", "per_cycle")
 
     def __init__(self):
         self.probes: List[Probe] = []
+        #: Whether a per-cycle event has a subscriber (rules out skip-ahead).
+        self.per_cycle = False
         for event in PROBE_EVENTS:
             setattr(self, event, ())
 
@@ -149,6 +158,7 @@ class ProbeManager:
                 if getattr(type(probe), name, base) is not base
             )
             setattr(self, event, handlers)
+        self.per_cycle = any(getattr(self, event) for event in PER_CYCLE_EVENTS)
 
     def find(self, cls) -> Iterator[Probe]:
         """Registered probes that are instances of *cls*."""
@@ -162,11 +172,11 @@ class ProbeManager:
 
 
 class RegisterEventProbe(Probe):
-    """Adapter feeding a :class:`~repro.pipeline.stats.RegisterEventLog`
-    from probe events (replaces the core's hard-wired log calls)."""
+    """Feeds its own :class:`~repro.pipeline.stats.RegisterEventLog`
+    from probe events; the log's records feed Figures 4 and 14."""
 
-    def __init__(self, log):
-        self.log = log
+    def __init__(self):
+        self.log = RegisterEventLog()
 
     def on_allocate(self, entry, cycle: int) -> None:
         log = self.log

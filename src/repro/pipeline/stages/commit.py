@@ -2,8 +2,8 @@
 
 Stores write the memory image here (address/value were captured at
 issue), and the release scheme's commit hook performs conventional
-frees.  Per-instruction timeline rows are appended when
-``config.record_timeline`` is set.
+frees.  Per-instruction stage timings are observed through the
+``commit`` probe event (:class:`repro.analysis.TimelineProbe`).
 """
 
 from __future__ import annotations
@@ -18,9 +18,7 @@ class CommitStage(Stage):
 
     def __init__(self, state):
         super().__init__(state)
-        config = self.config
-        self.width = config.retire_width
-        self.record_timeline = config.record_timeline
+        self.width = self.config.retire_width
         self.rob = state.rob
         self.scheme = state.scheme
         self.checkpoints = state.checkpoints
@@ -28,7 +26,6 @@ class CommitStage(Stage):
         self.stats = state.stats
         self.stores = state.stores
         self.mem_values = state.mem_values
-        self.timeline = state.timeline
 
     def run(self, state, cycle: int) -> None:
         rob = self.rob
@@ -56,12 +53,6 @@ class CommitStage(Stage):
             if entry.has_checkpoint:
                 self.checkpoints.release_older_equal(entry.seq)
             stats.count_commit(instr.op_class.value)
-            if self.record_timeline:
-                self.timeline.append(
-                    (entry.dyn.trace_seq, entry.dyn.pc, entry.cycle_rename,
-                     entry.cycle_issue, entry.cycle_complete,
-                     entry.cycle_precommit, entry.cycle_commit)
-                )
 
     def _commit_store(self, state, entry, cycle: int) -> None:
         record = self.stores.pop(entry.seq, None)

@@ -91,10 +91,11 @@ class ReleaseScheme:
         self.stats = SchemeStats()
         self.unit: RenameUnit = None  # type: ignore[assignment]
         #: Optional callback(file_cls, ptag) fired on every *early* release;
-        #: used by the register-event log and by tests observing releases.
+        #: the core sets it from its ``early_release`` probe subscribers.
         self.release_listener = None
         #: Optional callback(file_cls, ptag) fired when an atomic-region
-        #: scheme claims a previous ptag (ATR takes ownership of the free).
+        #: scheme claims a previous ptag (ATR takes ownership of the free);
+        #: the core sets it from its ``claim`` probe subscribers.
         self.claim_listener = None
 
     def attach(self, unit: RenameUnit) -> None:

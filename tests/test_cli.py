@@ -83,7 +83,10 @@ def test_figure_sec44(capsys):
 
 
 def test_figure_unknown(capsys):
-    assert main(["figure", "fig99"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["figure", "fig99"])
+    assert exc.value.code == 2
+    assert "fig06" in capsys.readouterr().err  # choices come from FIGURES
 
 
 def test_parser_requires_command():
@@ -121,6 +124,10 @@ def test_non_positive_instructions_is_usage_error(argv, count, capsys):
     ["compare", "mcf", "-r", "10"],
     ["cache", "gc", "--max-bytes", "-1"],
     ["cache", "gc", "--max-age", "-1"],
+    ["cache", "gc"],
+    ["figure", "fig99"],
+    ["analyze", "mcf", "bwaves"],
+    ["lint"],
 ], ids=" ".join)
 def test_bad_argument_is_one_line_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -138,7 +145,9 @@ def test_cache_info_reports_counters(capsys):
 
 
 def test_cache_gc_requires_a_limit(capsys):
-    assert main(["cache", "gc"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["cache", "gc"])
+    assert exc.value.code == 2
     assert "--max-bytes" in capsys.readouterr().err
 
 

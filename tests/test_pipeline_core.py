@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.analysis import TimelineProbe
 from repro.frontend import final_state, run_program
 from repro.isa import RegClass, assemble
 from repro.pipeline import Core, CoreConfig, DeadlockError, fast_test_config, golden_cove_config
@@ -222,10 +223,10 @@ class TestConfig:
 class TestTimeline:
     def test_stage_order_per_instruction(self, atomic_program):
         trace = run_program(atomic_program)
-        config = dataclasses.replace(fast_test_config(), record_timeline=True)
-        core = Core(config, trace)
+        core = Core(fast_test_config(), trace)
+        timeline = core.add_probe(TimelineProbe())
         core.run()
-        assert len(core.timeline) == len(trace)
-        for _seq, _pc, rename, issue, complete, precommit, commit in core.timeline:
+        assert len(timeline.rows) == len(trace)
+        for _seq, _pc, rename, issue, complete, precommit, commit in timeline.rows:
             assert rename <= issue <= complete <= commit
             assert precommit <= commit

@@ -131,6 +131,14 @@ class TestProbeLayer:
         core.remove_probe(probe)
         assert core.state.probes is None
 
+    def test_remove_unregistered_probe_raises_value_error(self, loop_trace):
+        core = Core(fast_test_config(), loop_trace)
+        with pytest.raises(ValueError):
+            core.remove_probe(RecordingProbe())  # no manager yet
+        core.add_probe(RecordingProbe())
+        with pytest.raises(ValueError):
+            core.remove_probe(RecordingProbe())  # live manager, unknown probe
+
     def test_probes_observe_instruction_lifecycle(self, loop_trace):
         core = Core(fast_test_config(), loop_trace)
         probe = core.add_probe(RecordingProbe())

@@ -346,7 +346,9 @@ class TestCli:
         assert "505.mcf_r/ref2" in out
 
     def test_lint_without_benchmarks_is_usage_error(self, capsys):
-        assert main(["lint"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["lint"])
+        assert exc.value.code == 2
 
     def test_lint_fails_on_seeded_violation(self, capsys, monkeypatch):
         """A kernel with an active finding must make the CLI exit 1."""
@@ -451,4 +453,6 @@ class TestAnalyzeStaticCli:
         assert main(["analyze", "static", "nonesuch"]) == 2
 
     def test_dynamic_mode_takes_one_benchmark(self, capsys):
-        assert main(["analyze", "mcf", "omnetpp"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "mcf", "omnetpp"])
+        assert exc.value.code == 2
