@@ -12,22 +12,22 @@ register-release behaviour).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 from .interface import DirectionPredictor, saturate
 from .simple import Bimodal
 
 
-@dataclass
-class _TageEntry:
-    tag: int = 0
-    counter: int = 4  # 3-bit, weakly taken at 4 (range 0..7)
-    useful: int = 0  # 2-bit
-
-
 class _TaggedTable:
-    """One partially-tagged TAGE component."""
+    """One partially-tagged TAGE component.
+
+    Entries are three parallel lists (tag, 3-bit counter, 2-bit useful).
+    The index and tag hashes fold the table's ``history_length`` most
+    recent outcomes down to their widths; the folds are kept up to date
+    incrementally by :meth:`push`, which is exact (see there), so a
+    lookup never refolds the history.  :meth:`_fold` is the from-scratch
+    definition the incremental folds must always equal.
+    """
 
     def __init__(self, entries: int, tag_bits: int, history_length: int):
         if entries <= 0 or entries & (entries - 1):
@@ -35,7 +35,17 @@ class _TaggedTable:
         self.entries = entries
         self.tag_bits = tag_bits
         self.history_length = history_length
-        self.table = [_TageEntry() for _ in range(entries)]
+        self.tags = [0] * entries
+        self.counters = [4] * entries  # weakly taken at 4 (range 0..7)
+        self.useful = [0] * entries
+        #: Fold widths and folded histories of the index, tag and
+        #: shifted-tag hashes.
+        self.widths = (entries.bit_length() - 1, tag_bits, tag_bits - 1)
+        if min(self.widths) < 1:
+            raise ValueError("a tagged table needs at least 2 entries and 2 tag bits")
+        self.folds = [0, 0, 0]
+        self._push_constants = tuple(
+            (width, (1 << width) - 1, history_length % width) for width in self.widths)
 
     def _fold(self, history: int, bits: int) -> int:
         """Fold ``history_length`` history bits down to *bits* bits."""
@@ -46,15 +56,27 @@ class _TaggedTable:
             masked >>= bits
         return folded
 
-    def index(self, pc: int, history: int) -> int:
-        return (pc ^ (pc >> 4) ^ self._fold(history, self.entries.bit_length() - 1)) & (
-            self.entries - 1
-        )
+    def push(self, history: int, taken: int) -> None:
+        """Advance the folds as *taken* shifts into *history*.
 
-    def tag(self, pc: int, history: int) -> int:
-        return (pc ^ self._fold(history, self.tag_bits) ^ (self._fold(history, self.tag_bits - 1) << 1)) & (
-            (1 << self.tag_bits) - 1
-        )
+        Folding XORs every history bit at position p into fold bit
+        ``p mod width``.  Shifting moves each bit from p to p + 1, so the
+        new fold is the old one rotated left by one, XOR the incoming bit
+        at 0, XOR the bit leaving the window (old position
+        ``history_length - 1``) at ``history_length mod width``.
+        """
+        outgoing = (history >> (self.history_length - 1)) & 1
+        folds = self.folds
+        for i, (width, mask, leaving_at) in enumerate(self._push_constants):
+            folded = (folds[i] << 1) | taken
+            folds[i] = (folded ^ (folded >> width) ^ (outgoing << leaving_at)) & mask
+
+    def index(self, pc: int) -> int:
+        return (pc ^ (pc >> 4) ^ self.folds[0]) & (self.entries - 1)
+
+    def tag(self, pc: int) -> int:
+        folds = self.folds
+        return (pc ^ folds[1] ^ (folds[2] << 1)) & ((1 << self.tag_bits) - 1)
 
 
 class _LoopEntry:
@@ -121,8 +143,11 @@ class Tage(DirectionPredictor):
     ):
         self.base = Bimodal(entries=base_entries, counter_bits=2)
         lengths = _geometric_lengths(num_tables, min_history, max_history)
+        # The global history keeps max_history bits, so no table can see
+        # further back than that (_geometric_lengths may overshoot it).
         self.tables: List[_TaggedTable] = [
-            _TaggedTable(table_entries, tag_bits, length) for length in lengths
+            _TaggedTable(table_entries, tag_bits, min(length, max_history))
+            for length in lengths
         ]
         self.history = 0
         self.history_bits = max_history
@@ -131,24 +156,31 @@ class Tage(DirectionPredictor):
         # Prediction bookkeeping (provider table etc.) keyed by pc for the
         # common predict -> update flow.
         self._last: dict = {}
+        # (pc, lookup) of the latest lookup; tables and history change only
+        # in update(), which clears it, so until then it stays exact.
+        self._memo = None
 
     # -- prediction ----------------------------------------------------------
     def _lookup(self, pc: int):
+        memo = self._memo
+        if memo is not None and memo[0] == pc:
+            return memo[1]
         provider = None
         provider_index = -1
         alt = None
         alt_index = -1
         for t in range(len(self.tables) - 1, -1, -1):
             table = self.tables[t]
-            idx = table.index(pc, self.history)
-            entry = table.table[idx]
-            if entry.tag == table.tag(pc, self.history):
+            idx = table.index(pc)
+            if table.tags[idx] == table.tag(pc):
                 if provider is None:
                     provider, provider_index = t, idx
                 elif alt is None:
                     alt, alt_index = t, idx
                     break
-        return provider, provider_index, alt, alt_index
+        found = (provider, provider_index, alt, alt_index)
+        self._memo = (pc, found)
+        return found
 
     def predict(self, pc: int) -> bool:
         if self.loop is not None:
@@ -161,13 +193,14 @@ class Tage(DirectionPredictor):
             pred = base_pred
             alt_pred = base_pred
         else:
-            entry = self.tables[provider].table[p_idx]
-            provider_pred = entry.counter >= 4
+            table = self.tables[provider]
+            counter = table.counters[p_idx]
+            provider_pred = counter >= 4
             if alt is not None:
-                alt_pred = self.tables[alt].table[a_idx].counter >= 4
+                alt_pred = self.tables[alt].counters[a_idx] >= 4
             else:
                 alt_pred = base_pred
-            newly_allocated = entry.useful == 0 and entry.counter in (3, 4)
+            newly_allocated = table.useful[p_idx] == 0 and counter in (3, 4)
             if newly_allocated and self.use_alt_on_new >= 8:
                 pred = alt_pred
             else:
@@ -180,7 +213,7 @@ class Tage(DirectionPredictor):
         provider, p_idx, _, _ = self._lookup(pc)
         if provider is None:
             return self.base.confidence(pc)
-        counter = self.tables[provider].table[p_idx].counter
+        counter = self.tables[provider].counters[p_idx]
         return counter <= 1 or counter >= 6
 
     # -- update ----------------------------------------------------------------
@@ -194,17 +227,19 @@ class Tage(DirectionPredictor):
             pred = alt_pred = None
         else:
             provider, p_idx, alt, a_idx, pred, alt_pred = state
+        self._memo = None
 
         if provider is not None:
             table = self.tables[provider]
-            entry = table.table[p_idx]
             if pred is not None and pred != alt_pred:
                 # provider was useful iff it was right where altpred was wrong
-                entry.useful = saturate(entry.useful, 1 if pred == taken else -1, 0, 3)
+                table.useful[p_idx] = saturate(
+                    table.useful[p_idx], 1 if pred == taken else -1, 0, 3)
                 self.use_alt_on_new = saturate(
                     self.use_alt_on_new, -1 if pred == taken else 1, 0, 15
                 )
-            entry.counter = saturate(entry.counter, 1 if taken else -1, 0, 7)
+            table.counters[p_idx] = saturate(
+                table.counters[p_idx], 1 if taken else -1, 0, 7)
         else:
             self.base.update(pc, taken)
 
@@ -212,25 +247,26 @@ class Tage(DirectionPredictor):
         if mispredicted:
             self._allocate(pc, taken, provider)
 
-        self.history = ((self.history << 1) | int(taken)) & ((1 << self.history_bits) - 1)
+        bit = int(taken)
+        for table in self.tables:
+            table.push(self.history, bit)
+        self.history = ((self.history << 1) | bit) & ((1 << self.history_bits) - 1)
 
     def _allocate(self, pc: int, taken: bool, provider: Optional[int]) -> None:
         """Allocate a new entry in a longer-history table on a mispredict."""
         start = (provider + 1) if provider is not None else 0
         for t in range(start, len(self.tables)):
             table = self.tables[t]
-            idx = table.index(pc, self.history)
-            entry = table.table[idx]
-            if entry.useful == 0:
-                entry.tag = table.tag(pc, self.history)
-                entry.counter = 4 if taken else 3
-                entry.useful = 0
+            idx = table.index(pc)
+            if table.useful[idx] == 0:
+                table.tags[idx] = table.tag(pc)
+                table.counters[idx] = 4 if taken else 3
                 return
         # No victim: age the candidate entries instead.
         for t in range(start, len(self.tables)):
             table = self.tables[t]
-            entry = table.table[table.index(pc, self.history)]
-            entry.useful = saturate(entry.useful, -1, 0, 3)
+            idx = table.index(pc)
+            table.useful[idx] = saturate(table.useful[idx], -1, 0, 3)
 
 
 def _geometric_lengths(count: int, shortest: int, longest: int) -> List[int]:

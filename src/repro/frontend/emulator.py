@@ -14,18 +14,21 @@ cycle simulator's value-execution mode, so the two models cannot drift.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..isa import (
+    FLAGS,
+    INT_SRT_SLOTS,
     NUM_INT_REGS,
     NUM_VEC_REGS,
     VEC_LANES,
     ArchReg,
+    Instruction,
     Opcode,
     Program,
     RegClass,
 )
-from ..isa.semantics import MASK64, branch_taken, compute
+from ..isa.semantics import BRANCH_CONDITIONS, MASK64, operation
 from .trace import DynamicInstruction, Trace
 
 #: 8-byte words; vector memory operations touch VEC_LANES consecutive words.
@@ -104,6 +107,11 @@ class EmulationError(RuntimeError):
     """Raised on architecturally impossible situations (bad PC, etc.)."""
 
 
+#: A decoded static instruction: executes it as dynamic instruction
+#: number ``seq`` and returns the record.
+Handler = Callable[[int], DynamicInstruction]
+
+
 class Emulator:
     """Architectural executor for the reproduction ISA.
 
@@ -111,123 +119,181 @@ class Emulator:
     (the *possibility* of the exception is what matters for atomic-region
     classification, and the paper's simulated SimPoints likewise take no
     real faults).  Loads from unwritten memory return zero.
+
+    Each static instruction is decoded once, at construction, into a
+    handler closure with its opcode, operand slots and immediate
+    resolved; :meth:`step` and :meth:`run` both execute through
+    :meth:`_execute`, the one interpreter loop over those handlers.
     """
 
     def __init__(self, program: Program):
         self.program = program
-        self.int_regs = [0] * NUM_INT_REGS
+        #: The 16 GPRs followed by FLAGS (the integer file's SRT order).
+        self.regs = [0] * INT_SRT_SLOTS
         self.vec_regs = [(0,) * VEC_LANES for _ in range(NUM_VEC_REGS)]
-        self.flags = 0
         self.memory: Dict[int, int] = dict(program.data)
         self.pc = 0
         self.halted = False
         self.executed = 0
+        self._handlers: List[Handler] = [
+            self._decode(pc, instr) for pc, instr in enumerate(program.instructions)]
 
     # -- state access --------------------------------------------------------
     def snapshot(self) -> ArchState:
         return ArchState(
-            int_regs=tuple(self.int_regs),
+            int_regs=tuple(self.regs[:NUM_INT_REGS]),
             vec_regs=tuple(self.vec_regs),
-            flags=self.flags,
+            flags=self.regs[FLAGS.srt_slot],
             memory=dict(self.memory),
         )
 
-    def read_reg(self, reg: ArchReg):
-        if reg.cls is RegClass.FLAGS:
-            return self.flags
-        if reg.cls is RegClass.INT:
-            return self.int_regs[reg.index]
-        return self.vec_regs[reg.index]
+    def _slot(self, reg: ArchReg):
+        """The (register list, index) pair holding *reg*."""
+        return (self.vec_regs if reg.cls is RegClass.VEC else self.regs), reg.srt_slot
 
-    def write_reg(self, reg: ArchReg, value) -> None:
-        if reg.cls is RegClass.FLAGS:
-            self.flags = int(value) & MASK64
-        elif reg.cls is RegClass.INT:
-            self.int_regs[reg.index] = int(value) & MASK64
-        else:
-            self.vec_regs[reg.index] = tuple(int(v) & MASK64 for v in value)
+    # -- decode ----------------------------------------------------------------
+    def _decode(self, pc: int, instr: Instruction) -> Handler:
+        """Bind *instr* at *pc* to a handler closure.
 
-    def _load_word(self, addr: int) -> int:
-        return self.memory.get(addr & MASK64, 0)
+        Register writes from :data:`~repro.isa.semantics.OPERATIONS` need
+        no masking (its results are canonical); loaded words and stored
+        values are masked exactly where the architecture defines them.
+        """
+        op = instr.opcode
+        imm = instr.imm
+        target = instr.target
+        memory = self.memory
+        regs = self.regs
+        record = DynamicInstruction
+        nxt = pc + 1
 
-    def _store_word(self, addr: int, value: int) -> None:
-        self.memory[addr & MASK64] = value & MASK64
+        if op is Opcode.HALT:
+            return lambda seq: record(seq, pc, instr, pc, False, None)
+        if op is Opcode.NOP:
+            return lambda seq: record(seq, pc, instr, nxt, False, None)
+        if op is Opcode.JMP:
+            return lambda seq: record(seq, pc, instr, target, True, None)
+        if instr.is_conditional_branch:
+            taken_if = BRANCH_CONDITIONS[op]
+            flags = FLAGS.srt_slot
+
+            def branch(seq):
+                if taken_if(regs[flags]):
+                    return record(seq, pc, instr, target, True, None)
+                return record(seq, pc, instr, nxt, False, None)
+            return branch
+        if op is Opcode.CALL:
+            link, link_slot = self._slot(instr.dests[0])
+
+            def call(seq):
+                link[link_slot] = nxt
+                return record(seq, pc, instr, target, True, None)
+            return call
+        if op in (Opcode.JR, Opcode.RET):
+            via, via_slot = self._slot(instr.srcs[0])
+            return lambda seq: record(seq, pc, instr, via[via_slot] & MASK64, True, None)
+        if instr.is_load:
+            base, base_slot = self._slot(instr.srcs[0])
+            if op is Opcode.LD:
+                dest, dest_slot = self._slot(instr.dests[0])
+
+                def load(seq):
+                    addr = (base[base_slot] + imm) & MASK64
+                    dest[dest_slot] = memory.get(addr, 0) & MASK64
+                    return record(seq, pc, instr, nxt, False, addr)
+                return load
+            if op is Opcode.VLD:
+                dest, dest_slot = self._slot(instr.dests[0])
+
+                def vload(seq):
+                    addr = (base[base_slot] + imm) & MASK64
+                    dest[dest_slot] = tuple(
+                        memory.get((addr + i * WORD_BYTES) & MASK64, 0) & MASK64
+                        for i in range(VEC_LANES))
+                    return record(seq, pc, instr, nxt, False, addr)
+                return vload
+        if instr.is_store:
+            src, src_slot = self._slot(instr.srcs[0])
+            base, base_slot = self._slot(instr.srcs[1])
+            if op is Opcode.ST:
+                def store(seq):
+                    addr = (base[base_slot] + imm) & MASK64
+                    memory[addr] = src[src_slot] & MASK64
+                    return record(seq, pc, instr, nxt, False, addr)
+                return store
+
+            def vstore(seq):
+                addr = (base[base_slot] + imm) & MASK64
+                for i, lane in enumerate(src[src_slot]):
+                    memory[(addr + i * WORD_BYTES) & MASK64] = lane & MASK64
+                return record(seq, pc, instr, nxt, False, addr)
+            return vstore
+
+        fn = operation(op)
+        dest, dest_slot = self._slot(instr.dests[0])
+        sources = [self._slot(reg) for reg in instr.srcs]
+        if not sources:
+            def alu0(seq):
+                dest[dest_slot] = fn((), imm)
+                return record(seq, pc, instr, nxt, False, None)
+            return alu0
+        if len(sources) == 1:
+            (a, a_slot), = sources
+
+            def alu1(seq):
+                dest[dest_slot] = fn((a[a_slot],), imm)
+                return record(seq, pc, instr, nxt, False, None)
+            return alu1
+        if len(sources) == 2:
+            (a, a_slot), (b, b_slot) = sources
+
+            def alu2(seq):
+                dest[dest_slot] = fn((a[a_slot], b[b_slot]), imm)
+                return record(seq, pc, instr, nxt, False, None)
+            return alu2
+
+        def alu(seq):
+            dest[dest_slot] = fn([f[i] for f, i in sources], imm)
+            return record(seq, pc, instr, nxt, False, None)
+        return alu
 
     # -- execution -------------------------------------------------------------
+    def _execute(self, limit: int, out: List[DynamicInstruction]) -> None:
+        """Execute up to *limit* instructions, appending their records to
+        *out*; stops after HALT."""
+        if self.halted:
+            return
+        handlers = self._handlers
+        size = len(handlers)
+        append = out.append
+        before = len(out)
+        pc = self.pc
+        try:
+            for seq in range(self.executed, self.executed + limit):
+                if not 0 <= pc < size:
+                    raise EmulationError(
+                        f"pc {pc} outside program {self.program.name!r}")
+                record = handlers[pc](seq)
+                append(record)
+                pc = record.next_pc
+                if record.instr.is_halt:
+                    self.halted = True
+                    break
+        finally:
+            self.pc = pc
+            self.executed += len(out) - before
+
     def step(self) -> Optional[DynamicInstruction]:
         """Execute one instruction; return its dynamic record, or ``None``
         if the machine has halted."""
-        if self.halted:
-            return None
-        instr = self.program.at(self.pc)
-        if instr is None:
-            raise EmulationError(f"pc {self.pc} outside program {self.program.name!r}")
-
-        pc = self.pc
-        op = instr.opcode
-        taken = False
-        mem_addr: Optional[int] = None
-        next_pc = pc + 1
-
-        if op is Opcode.HALT:
-            self.halted = True
-            next_pc = pc
-        elif op is Opcode.NOP:
-            pass
-        elif op is Opcode.LD:
-            mem_addr = (self.read_reg(instr.srcs[0]) + instr.imm) & MASK64
-            self.write_reg(instr.dests[0], self._load_word(mem_addr))
-        elif op is Opcode.ST:
-            mem_addr = (self.read_reg(instr.srcs[1]) + instr.imm) & MASK64
-            self._store_word(mem_addr, self.read_reg(instr.srcs[0]))
-        elif op is Opcode.VLD:
-            mem_addr = (self.read_reg(instr.srcs[0]) + instr.imm) & MASK64
-            lanes = tuple(self._load_word(mem_addr + i * WORD_BYTES) for i in range(VEC_LANES))
-            self.write_reg(instr.dests[0], lanes)
-        elif op is Opcode.VST:
-            mem_addr = (self.read_reg(instr.srcs[1]) + instr.imm) & MASK64
-            for i, lane in enumerate(self.read_reg(instr.srcs[0])):
-                self._store_word(mem_addr + i * WORD_BYTES, lane)
-        elif op in (Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE):
-            taken = branch_taken(op, self.flags)
-            if taken:
-                next_pc = instr.target
-        elif op is Opcode.JMP:
-            taken = True
-            next_pc = instr.target
-        elif op is Opcode.CALL:
-            taken = True
-            self.write_reg(instr.dests[0], pc + 1)
-            next_pc = instr.target
-        elif op in (Opcode.JR, Opcode.RET):
-            taken = True
-            next_pc = self.read_reg(instr.srcs[0]) & MASK64
-        else:
-            srcs = [self.read_reg(s) for s in instr.srcs]
-            self.write_reg(instr.dests[0], compute(instr, srcs))
-
-        record = DynamicInstruction(
-            seq=self.executed,
-            pc=pc,
-            instr=instr,
-            next_pc=next_pc,
-            taken=taken,
-            mem_addr=mem_addr,
-        )
-        self.pc = next_pc
-        self.executed += 1
-        return record
+        out: List[DynamicInstruction] = []
+        self._execute(1, out)
+        return out[0] if out else None
 
     def run(self, max_instructions: int = 1_000_000) -> Trace:
         """Run until HALT or *max_instructions*; return the trace."""
-        entries = []
-        for _ in range(max_instructions):
-            record = self.step()
-            if record is None:
-                break
-            entries.append(record)
-            if record.instr.is_halt:
-                break
+        entries: List[DynamicInstruction] = []
+        self._execute(max_instructions, entries)
         return Trace(program=self.program, entries=entries)
 
 

@@ -118,8 +118,7 @@ class ProgramBuilder:
 
     def words(self, addr: int, values: Sequence[int], stride: int = 8) -> None:
         """Place consecutive words starting at *addr*."""
-        for i, value in enumerate(values):
-            self._data[addr + i * stride] = value
+        self._data.update(zip(range(addr, addr + len(values) * stride, stride), values))
 
     def _emit(self, opcode: Opcode, dests=(), srcs=(), imm=0, target=None) -> int:
         instr = Instruction(

@@ -10,8 +10,12 @@ treatment).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
+
+#: Line state flags: one small int per resident block.
+DIRTY = 1
+PREFETCHED = 2  #: installed by a prefetch, not yet hit by demand
 
 
 @dataclass
@@ -57,31 +61,30 @@ class Cache:
         self.latency = latency
         self.num_sets = sets
         self._line_shift = line_bytes.bit_length() - 1
-        # set index -> OrderedDict {block_addr: state dict}; last = MRU
+        # set index -> OrderedDict {block_addr: DIRTY|PREFETCHED flags}; last = MRU
         self._sets: Dict[int, OrderedDict] = {}
         self.stats = CacheStats()
 
     def block_of(self, addr: int) -> int:
         return addr >> self._line_shift
 
-    def _set_index(self, block: int) -> int:
-        return block % self.num_sets
-
     def lookup(self, addr: int, is_write: bool = False, update_stats: bool = True) -> bool:
         """Probe for *addr*; on hit, update LRU (and dirty on writes)."""
-        block = self.block_of(addr)
-        target_set = self._sets.get(self._set_index(block))
+        block = addr >> self._line_shift
+        target_set = self._sets.get(block % self.num_sets)
         if update_stats:
             self.stats.accesses += 1
         if target_set is not None and block in target_set:
             target_set.move_to_end(block)
             line = target_set[block]
             if is_write:
-                line["dirty"] = True
+                line |= DIRTY
             if update_stats:
                 self.stats.hits += 1
-                if line.pop("prefetched", False):
+                if line & PREFETCHED:
                     self.stats.prefetch_hits += 1
+                    line &= ~PREFETCHED
+            target_set[block] = line
             return True
         if update_stats:
             self.stats.misses += 1
@@ -89,8 +92,8 @@ class Cache:
 
     def contains(self, addr: int) -> bool:
         """Probe without side effects."""
-        block = self.block_of(addr)
-        target_set = self._sets.get(self._set_index(block))
+        block = addr >> self._line_shift
+        target_set = self._sets.get(block % self.num_sets)
         return target_set is not None and block in target_set
 
     def fill(self, addr: int, dirty: bool = False, prefetched: bool = False) -> Optional[int]:
@@ -99,29 +102,30 @@ class Cache:
         Returns the evicted block's base address if a dirty block was
         written back, else ``None``.
         """
-        block = self.block_of(addr)
-        index = self._set_index(block)
-        target_set = self._sets.setdefault(index, OrderedDict())
+        block = addr >> self._line_shift
+        target_set = self._sets.get(block % self.num_sets)
+        if target_set is None:
+            target_set = self._sets[block % self.num_sets] = OrderedDict()
         if block in target_set:
             target_set.move_to_end(block)
             if dirty:
-                target_set[block]["dirty"] = True
+                target_set[block] |= DIRTY
             return None
         writeback = None
         if len(target_set) >= self.ways:
             victim_block, victim = target_set.popitem(last=False)
             self.stats.evictions += 1
-            if victim["dirty"]:
+            if victim & DIRTY:
                 self.stats.writebacks += 1
                 writeback = victim_block << self._line_shift
-        target_set[block] = {"dirty": dirty, "prefetched": prefetched}
+        target_set[block] = (DIRTY if dirty else 0) | (PREFETCHED if prefetched else 0)
         if prefetched:
             self.stats.prefetch_fills += 1
         return writeback
 
     def invalidate(self, addr: int) -> None:
         block = self.block_of(addr)
-        target_set = self._sets.get(self._set_index(block))
+        target_set = self._sets.get(block % self.num_sets)
         if target_set is not None:
             target_set.pop(block, None)
 

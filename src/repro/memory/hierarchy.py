@@ -13,8 +13,9 @@ DDR4-3200-class DRAM).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .cache import Cache
 from .prefetch import CompositePrefetcher
@@ -85,19 +86,31 @@ class MemoryHierarchy:
         self.llc = Cache("LLC", c.llc_size, c.llc_ways, c.line_bytes, c.llc_latency)
         self.dram = DramModel(latency=c.dram_latency)
         self.prefetcher = CompositePrefetcher(line_bytes=c.line_bytes) if c.enable_prefetch else None
+        self._line_bytes = c.line_bytes
         # MSHR: block -> completion cycle of the outstanding fill
         self._mshr: Dict[int, int] = {}
+        #: The same fills as a min-heap of (completion, block): an access
+        #: reaps only the fills now due, and none before the earliest.
+        self._mshr_fills: List[Tuple[int, int]] = []
         self.mshr_merges = 0
         self.mshr_stalls = 0
 
     # -- internals -------------------------------------------------------------
-    def _block(self, addr: int) -> int:
-        return addr // self.config.line_bytes
-
     def _reap_mshr(self, cycle: int) -> None:
-        done = [b for b, when in self._mshr.items() if when <= cycle]
-        for b in done:
-            del self._mshr[b]
+        """Retire every fill complete by *cycle*."""
+        fills = self._mshr_fills
+        while fills and fills[0][0] <= cycle:
+            del self._mshr[heapq.heappop(fills)[1]]
+
+    def _mshr_add(self, block: int, completion: int) -> None:
+        # Callers add only blocks not already outstanding.
+        self._mshr[block] = completion
+        heapq.heappush(self._mshr_fills, (completion, block))
+
+    def clear_mshr(self) -> None:
+        """Drop every outstanding fill (all data has arrived)."""
+        self._mshr.clear()
+        self._mshr_fills.clear()
 
     def _miss_path(self, cycle: int, addr: int, l1: Cache, is_write: bool) -> int:
         """Latency (beyond L1 access) of filling *addr* from L2/LLC/DRAM."""
@@ -117,7 +130,7 @@ class MemoryHierarchy:
 
     def _access(self, cycle: int, addr: int, l1: Cache, is_write: bool, pc: int) -> int:
         self._reap_mshr(cycle)
-        block = self._block(addr)
+        block = addr // self._line_bytes
         if l1.lookup(addr, is_write=is_write):
             # Fill-at-access installs lines immediately; an MSHR entry for
             # the block means the data is still in flight, so a "hit" on
@@ -139,7 +152,7 @@ class MemoryHierarchy:
                     extra = max(0, oldest - cycle)
                 latency = self._miss_path(cycle, addr, l1, is_write)
                 completion = cycle + l1.latency + latency + extra
-                self._mshr[block] = completion
+                self._mshr_add(block, completion)
         if self.prefetcher is not None and l1 is self.l1d:
             for pf_addr in self.prefetcher.observe(addr, pc):
                 self._prefetch(pf_addr, cycle)
@@ -153,8 +166,8 @@ class MemoryHierarchy:
         access arriving before the data does merges and pays the
         remaining latency instead of hitting instantly.
         """
-        block = self._block(addr)
-        if self.l2.contains(addr) or block in self._mshr:
+        block = addr // self._line_bytes
+        if block in self._mshr or self.l2.contains(addr):
             return
         if self.llc.lookup(addr, is_write=False, update_stats=False):
             latency = self.llc.latency
@@ -163,7 +176,7 @@ class MemoryHierarchy:
             self.llc.fill(addr, prefetched=True)
         self.l2.fill(addr, prefetched=True)
         if len(self._mshr) < self.config.mshr_entries:
-            self._mshr[block] = cycle + latency
+            self._mshr_add(block, cycle + latency)
 
     # -- public API ----------------------------------------------------------
     def load(self, cycle: int, addr: int, pc: int = 0) -> int:

@@ -81,11 +81,9 @@ class CompositePrefetcher:
         ]
 
     def observe(self, addr: int, pc: int) -> List[int]:
-        seen = set()
         out: List[int] = []
         for part in self.parts:
             for candidate in part.observe(addr, pc):
-                if candidate not in seen:
-                    seen.add(candidate)
+                if candidate not in out:  # a handful of candidates at most
                     out.append(candidate)
         return out

@@ -216,5 +216,7 @@ def build_state(config: CoreConfig, trace: Trace, scheme: ReleaseScheme) -> Pipe
             RegClass.INT: [0] * config.int_rf_size,
             RegClass.VEC: [(0, 0, 0, 0)] * config.vec_rf_size,
         },
-        mem_values=dict(trace.program.data),
+        # Only value execution reads memory values; without it, skip
+        # copying the (up to 524k-word) data image into every core.
+        mem_values=dict(trace.program.data) if config.execute_values else {},
     )

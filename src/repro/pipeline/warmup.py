@@ -102,45 +102,49 @@ def fast_forward(config: CoreConfig, trace: Trace,
     emulator = Emulator(trace.program) if config.execute_values else None
     model_icache = config.model_icache
     ft_block_bytes = config.ft_block_bytes
+    fetch, load, store = memory.fetch, memory.load, memory.store
+    predict, resolve = branch_unit.predict, branch_unit.resolve
     last_fetch_block = -1
     executed = 0
     snapshots: List[WarmupState] = []
-    for stop in ordered:
+    for n, stop in enumerate(ordered, 1):
         for seq in range(executed, stop):
             record = entries[seq]
+            pc = record.pc
             if emulator is not None:
                 golden = emulator.step()
-                if golden is None or golden.pc != record.pc:
+                if golden is None or golden.pc != pc:
                     raise RuntimeError(
                         f"fast-forward diverged from trace at instruction "
-                        f"{seq} (pc {record.pc})")
+                        f"{seq} (pc {pc})")
             instr = record.instr
             if model_icache:
-                block = (record.pc * I_BYTES) // ft_block_bytes
+                block = (pc * I_BYTES) // ft_block_bytes
                 if block != last_fetch_block:
-                    memory.fetch(seq, record.pc * I_BYTES)
+                    fetch(seq, pc * I_BYTES)
                     last_fetch_block = block
                 if record.taken:
                     last_fetch_block = -1
             if instr.is_control and not instr.is_halt:
-                prediction = branch_unit.predict(record.pc, instr)
-                branch_unit.resolve(record.pc, instr, prediction,
-                                    record.taken, record.next_pc)
+                resolve(pc, instr, predict(pc, instr), record.taken, record.next_pc)
             if record.mem_addr is not None:
                 if instr.is_load:
-                    memory.load(seq, record.mem_addr, pc=record.pc)
+                    load(seq, record.mem_addr, pc=pc)
                 elif instr.is_store:
-                    memory.store(seq, record.mem_addr, pc=record.pc)
+                    store(seq, record.mem_addr, pc=pc)
         executed = stop
-        warm_memory = _clone(memory)
+        # The last stop takes the live state; earlier ones take clones,
+        # since the replay goes on mutating it.
+        last = n == len(ordered)
+        warm_memory = memory if last else _clone(memory)
         # Pseudo-time ends at the window boundary: every outstanding fill
         # has logically arrived, so the detailed window (which restarts
         # the clock at 0) must not inherit pseudo-cycle completion times.
-        warm_memory._mshr.clear()
+        warm_memory.clear_mshr()
         snapshots.append(WarmupState(
             instructions=executed,
             arch=emulator.snapshot() if emulator is not None else None,
-            branch_unit=_clone(branch_unit),
+            branch_unit=branch_unit if last else _clone(branch_unit),
             memory=warm_memory,
         ))
     return snapshots

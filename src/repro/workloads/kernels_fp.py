@@ -19,6 +19,7 @@ import random
 from typing import Callable
 
 from ..isa import Program, ProgramBuilder, ireg, vreg
+from .bulkdraw import randrange_list
 
 _A = 0x200000
 _B = 0x800000
@@ -27,8 +28,7 @@ _ARRAY_BYTES = _ARRAY_WORDS * 8
 
 
 def _fill(b: ProgramBuilder, base: int, seed: int, bound: int = 1 << 20) -> None:
-    rng = random.Random(seed)
-    b.words(base, [rng.randrange(1, bound) for _ in range(_ARRAY_WORDS)])
+    b.words(base, randrange_list(random.Random(seed), _ARRAY_WORDS, bound, start=1))
 
 
 def _streaming_kernel(

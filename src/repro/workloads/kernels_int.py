@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 
 from ..isa import LINK_REG, Program, ProgramBuilder, ireg
+from .bulkdraw import randrange_list
 
 #: Base addresses for the kernels' data regions.
 _HEAP = 0x100000
@@ -26,8 +27,7 @@ _STACK = 0x800000
 
 
 def _lcg_words(seed: int, count: int, bound: int = 1 << 30):
-    rng = random.Random(seed)
-    return [rng.randrange(bound) for _ in range(count)]
+    return randrange_list(random.Random(seed), count, bound)
 
 
 def perlbench(iterations: int = 64, seed: int = 1) -> Program:
@@ -155,9 +155,10 @@ def mcf(iterations: int = 96, seed: int = 3) -> Program:
     rng = random.Random(seed)
     order = list(range(1, nodes)) + [0]
     rng.shuffle(order)
+    costs = randrange_list(rng, nodes, 1 << 20)
     for i in range(nodes):
         b.word(_HEAP + 64 * i, _HEAP + 64 * order[i])
-        b.word(_HEAP + 64 * i + 8, rng.randrange(1 << 20))
+        b.word(_HEAP + 64 * i + 8, costs[i])
     b.movi(r(1), iterations)
     b.movi(r(4), 1)
     b.movi(r(6), 1 << 21)            # best cost
@@ -433,8 +434,7 @@ def xz(iterations: int = 32, seed: int = 9) -> Program:
     b = ProgramBuilder("557.xz_r")
     r = ireg
     data = 131072                    # 1 MiB
-    rng = random.Random(seed)
-    b.words(_HEAP, [rng.randrange(4) for _ in range(data)])
+    b.words(_HEAP, _lcg_words(seed, data, bound=4))
     b.movi(r(1), iterations)
     b.movi(r(4), 1)
     b.movi(r(10), 0)                 # total match length

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..isa import Program, ProgramBuilder, ireg, vreg
+from .bulkdraw import randrange_list
 
 _DATA = 0x30000
 
@@ -60,7 +61,7 @@ def synthesize(profile: WorkloadProfile, iterations: int = 32) -> Program:
     rng = random.Random(profile.seed)
     b = ProgramBuilder(profile.name)
     r, v = ireg, vreg
-    b.words(_DATA, [rng.randrange(1, 1 << 20) for _ in range(min(profile.working_set, 2048))])
+    b.words(_DATA, randrange_list(rng, min(profile.working_set, 2048), 1 << 20, start=1))
 
     # Register roles: r1 loop counter, r2 data pointer, r3 scratch base,
     # r4 constant one, r5..r12 value pool, r13 rng state.

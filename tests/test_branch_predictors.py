@@ -1,5 +1,7 @@
 """Direction predictors: bimodal, gshare, TAGE, loop predictor."""
 
+import random
+
 import pytest
 
 from repro.branch import (
@@ -113,6 +115,40 @@ class TestTage:
                 hits += 1
             p.update(0x100, outcome)
         assert hits >= 26
+
+    @pytest.mark.parametrize("kwargs", [
+        {},
+        {"num_tables": 3, "table_entries": 256, "tag_bits": 7, "max_history": 40},
+        {"num_tables": 6, "min_history": 4, "max_history": 5},  # lengths clamp
+    ])
+    def test_incremental_folds_match_definition(self, kwargs):
+        """Every table's folds equal ``_fold`` of the live history."""
+        p = Tage(**kwargs)
+        rng = random.Random(7)
+        for step in range(3000):
+            pc = rng.randrange(256)
+            if rng.random() < 0.8:
+                p.predict(pc)
+            p.update(pc, rng.random() < 0.7)
+            for table in p.tables:
+                assert table.folds == [table._fold(p.history, width)
+                                       for width in table.widths], step
+
+    @pytest.mark.parametrize("kwargs", [{"tag_bits": 1}, {"table_entries": 1}])
+    def test_rejects_zero_width_folds(self, kwargs):
+        with pytest.raises(ValueError):
+            Tage(**kwargs)
+
+    def test_confidence_reuses_predict_lookup(self):
+        p = Tage()
+        self._train(p, [True, False, True], reps=40)
+        p.predict(0x100)
+        memo = p._memo
+        assert memo is not None and memo[0] == 0x100
+        p.confidence(0x100)
+        assert p._memo is memo
+        p.update(0x100, True)
+        assert p._memo is None
 
     def test_update_without_predict_is_safe(self):
         p = Tage()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.frontend import EmulationError, Emulator, final_state, run_program
 from repro.isa import ProgramBuilder, assemble, ireg, vreg
+from repro.workloads import builder_for, workload_names
 
 
 def _run(src, **kwargs):
@@ -136,3 +137,21 @@ class TestTraceRecords:
         assert summary["instructions"] == len(trace)
         assert 0 < summary["branch_ratio"] < 1
         assert 0 <= summary["taken_ratio"] <= 1
+
+
+def _record(r):
+    return (r.seq, r.trace_seq, r.pc, r.instr, r.next_pc, r.taken, r.mem_addr)
+
+
+@pytest.mark.parametrize("name", workload_names(variants=True))
+def test_run_equals_repeated_step(name):
+    """``run`` and ``step`` share one interpreter: on every ref, a run of
+    n records equals n single steps, records and final state alike."""
+    program = builder_for(name)(2_000)
+    stepper, runner = Emulator(program), Emulator(program)
+    stepped = [stepper.step() for _ in range(2_000)]
+    ran = runner.run(max_instructions=2_000).entries
+    assert [_record(r) for r in ran] == [_record(r) for r in stepped]
+    assert runner.snapshot() == stepper.snapshot()
+    assert (runner.pc, runner.executed, runner.halted) == \
+        (stepper.pc, stepper.executed, stepper.halted)

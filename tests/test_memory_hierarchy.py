@@ -1,6 +1,7 @@
 """Memory hierarchy timing: level latencies, MSHR merging, prefetch."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.memory import (
     CompositePrefetcher,
@@ -142,3 +143,51 @@ def test_dram_row_conflicts_counted():
     m.load(0, 1 << 20)
     assert m.dram.accesses == 2
     assert m.dram.row_misses >= 1
+
+
+class _FullScanHierarchy(MemoryHierarchy):
+    """The MSHR reap's definition: scan every entry on every access."""
+
+    def _reap_mshr(self, cycle):
+        done = [b for b, when in self._mshr.items() if when <= cycle]
+        for b in done:
+            del self._mshr[b]
+
+
+_ACCESS = st.tuples(
+    st.sampled_from(("load", "store", "fetch")),
+    st.integers(min_value=-8, max_value=80),            # cycle step
+    st.integers(min_value=0, max_value=63),             # line
+    st.sampled_from((0, 8, 64 * 7, -64)),               # offset / stride
+    st.integers(min_value=0, max_value=7),              # pc
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(accesses=st.lists(_ACCESS, max_size=200),
+       mshr_entries=st.integers(min_value=1, max_value=6),
+       prefetch=st.booleans())
+def test_mshr_reap_skip_matches_full_scan(accesses, mshr_entries, prefetch):
+    """Reaping only the due fills off the completion heap (and nothing
+    before the earliest is due) changes nothing: same completion
+    cycles, merges, stalls, cache statistics and MSHR contents."""
+    config = HierarchyConfig(mshr_entries=mshr_entries, enable_prefetch=prefetch,
+                             l1d_size=4 * 1024, l1d_ways=2)
+    fast, reference = MemoryHierarchy(config), _FullScanHierarchy(config)
+    cycle = 0
+    for kind, step, line, offset, pc in accesses:
+        cycle = max(0, cycle + step)
+        addr = max(0, 0x10000 + line * 64 * 13 + offset)
+        if kind == "fetch":
+            assert fast.fetch(cycle, addr) == reference.fetch(cycle, addr)
+        else:
+            access = "load" if kind == "load" else "store"
+            assert (getattr(fast, access)(cycle, addr, pc=pc)
+                    == getattr(reference, access)(cycle, addr, pc=pc))
+        if cycle % 97 == 0:
+            fast.clear_mshr()
+            reference.clear_mshr()
+    assert fast.mshr_merges == reference.mshr_merges
+    assert fast.mshr_stalls == reference.mshr_stalls
+    assert fast.stats_table() == reference.stats_table()
+    assert fast._mshr == reference._mshr

@@ -24,6 +24,10 @@ from repro.workloads import (
 
 import numpy as np
 
+import random
+
+from repro.workloads.bulkdraw import randrange_list
+
 
 class TestSuiteRegistry:
     def test_table2_benchmark_counts(self):
@@ -176,6 +180,30 @@ class TestTraceCache:
         assert build_trace("mcf", 1000) is mcf
         assert ("557.xz_r", 1000) not in _trace_cache
         clear_trace_cache()
+
+
+class TestBulkDraw:
+    """``randrange_list`` against its definition, the scalar loop."""
+
+    @pytest.mark.parametrize("start,stop", [(0, 3), (0, 4), (0, 2**20), (0, 2**30),
+                                            (1, 2**20), (0, 1), (-7, 2**32 - 8),
+                                            (2**63 - 5, 2**63)])
+    @pytest.mark.parametrize("count", [0, 1, 2, 70_000])  # 70k spans several chunks
+    @pytest.mark.parametrize("seed", [1, 111])
+    def test_matches_randrange_and_leaves_same_state(self, seed, count, start, stop):
+        scalar, bulk = random.Random(seed), random.Random(seed)
+        expected = [scalar.randrange(start, stop) for _ in range(count)]
+        drawn = randrange_list(bulk, count, stop, start=start)
+        assert drawn == expected
+        assert all(type(v) is int for v in drawn)
+        assert bulk.getstate() == scalar.getstate()
+        assert bulk.random() == scalar.random()
+
+    @pytest.mark.parametrize("start,stop", [(0, 0), (5, 2), (0, 2**32 + 1),
+                                            (2**63, 2**63 + 4)])
+    def test_rejects_empty_and_wide_ranges(self, start, stop):
+        with pytest.raises(ValueError):
+            randrange_list(random.Random(1), 4, stop, start=start)
 
 
 def _records(entries):
